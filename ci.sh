@@ -1,10 +1,11 @@
 #!/bin/sh
 # CI entry point: type-check, build, run the test suites, then the -j
 # determinism sweep, the perf-regression gate, the sampled-simulation
-# smoke, and the differential fuzz smoke. `dune build @ci` runs the same
-# build/test/sweep/smoke checks as a single dune invocation; the perf
-# gate compares wall-clock rates, so it runs here (and in the GitHub
-# workflow), not under dune.
+# smoke, the differential fuzz smoke, the serving smokes and the
+# benchmark smoke. `dune build @ci` runs the same build/test/sweep/smoke
+# checks as a single dune invocation; the perf gate compares wall-clock
+# rates and the benchmark smoke drives dune itself, so both run here
+# (and in the GitHub workflow), not under dune.
 set -eu
 cd "$(dirname "$0")"
 
@@ -206,5 +207,13 @@ cold_p50=$(p50_of "$out/persist-cold.json")
 warm_p50=$(p50_of "$out/persist-warm.json")
 echo "   cold p50 ${cold_p50}s, warm (disk-loaded) p50 ${warm_p50}s"
 awk -v c="$cold_p50" -v w="$warm_p50" 'BEGIN { exit !(w + 0 < c + 0) }'
+
+echo "== benchmark smoke: every perfbench workload, traced and untraced"
+# One rotation per BENCHMARK.json workload. Fails unless every op passes
+# its output checks (SeMPE/CTE checksums equal the baseline build's, the
+# sampled path runs and lands inside its band, served bytes equal
+# Api.perform's), every reconciliation is inside its band, and every
+# metric BENCHMARK.json names is printed with its unit.
+python3 perfbench/run.py --smoke
 
 echo "CI OK"

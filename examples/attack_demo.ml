@@ -65,21 +65,11 @@ let () =
   let trace scheme key =
     let built = Harness.build scheme Rsa.program in
     let globals, arrays = Rsa.inputs ~key ~base:1234 ~modulus:99991 in
-    let layout = built.Sempe_workloads.Harness.layout in
-    let init_mem mem =
-      List.iter
-        (fun (name, value) ->
-          mem.(Sempe_lang.Codegen.scalar_offset layout name) <- value)
-        globals;
-      List.iter
-        (fun (name, values) ->
-          let off, _ = Sempe_lang.Codegen.array_slice layout name in
-          Array.blit values 0 mem off (Array.length values))
-        arrays
-    in
     Sempe_security.Coresident.prime_probe_trace
       ~support:(Scheme.support scheme)
-      ~prog:built.Sempe_workloads.Harness.prog ~init_mem ()
+      ~prog:built.Sempe_workloads.Harness.prog
+      ~init_mem:(Harness.init_mem_of built ~globals ~arrays)
+      ()
   in
   List.iter
     (fun scheme ->

@@ -308,8 +308,8 @@ let create ?(config = default_config) () =
      and [reset] mutate predictor state — so the lookup [update] needs is
      exactly the one [predict] just computed. Memoize it: the re-lookup
      was the single most expensive part of the update path. The scratch
-     lookup and the memo cells are captured by both closures, so
-     [Marshal.Closures] round-trips them with the rest of the state.
+     lookup and the memo cells live in the closures only, outside the
+     saved state: [reset] and [load_state] mark the memo stale.
      [memo_pc = -1] means "stale": [lk] may not describe [pc], so update
      recomputes (refilling [lk] in place). *)
   let lk = { provider = -1; provider_idx = 0; alt = -1; alt_idx = 0; base_idx = 0 } in

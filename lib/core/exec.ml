@@ -44,7 +44,7 @@ exception Budget_exceeded of int
 
 type result = {
   regs : int array;
-  memory : int array;
+  memory : Memory.t;
   dyn_instrs : int;
   dyn_sjmps : int;
   max_nesting : int;
@@ -55,7 +55,7 @@ type state = {
   cfg : config;
   prog : Program.t;
   regs : int array;
-  mem : int array;
+  mem : Memory.t;
   jb : Jbtable.t;
   snaps : Snapshot.t;
   spm : Spm.t;
@@ -139,6 +139,11 @@ let predecode st =
   let sempe = cfg.support = Sempe_hw in
   let plen = Program.length st.prog in
   let regs = st.regs and mem = st.mem in
+  (* The load/store page lookup is written out inline below (fixed-size
+     page table, never replaced); only a store's first write to a page
+     leaves the thunk, through [Memory.set]. *)
+  let pages = mem.Memory.pages in
+  let page_bits = Memory.page_bits and page_mask = Memory.page_mask in
   let snaps = st.snaps and jb = st.jb and spm = st.spm in
   let emit = st.emit and sink = st.sink in
   let warm = st.warm in
@@ -208,7 +213,8 @@ let predecode st =
             u.Uop.mem_addr <- addr;
             sink ev
           end;
-          wr rd mem.(addr)
+          let p = pages.(addr lsr page_bits) and o = addr land page_mask in
+          wr rd (if o < Array.length p then Array.unsafe_get p o else 0)
         end
         else if forgiving then begin
           (* clamp the cache address, read as zero *)
@@ -238,7 +244,10 @@ let predecode st =
             u.Uop.mem_addr <- addr;
             sink ev
           end;
-          mem.(addr) <- regs.(rs)
+          let p = pages.(addr lsr page_bits) and o = addr land page_mask in
+          let v = regs.(rs) in
+          if o < Array.length p then Array.unsafe_set p o v
+          else Memory.set mem addr v
         end
         else if forgiving then begin
           (* clamp the cache address, drop the store *)
@@ -451,7 +460,7 @@ let start ?(config = default_config) ?init_mem ?sink ?warm prog =
       cfg = config;
       prog;
       regs = Array.make Reg.count 0;
-      mem = Array.make config.mem_words 0;
+      mem = Memory.create config.mem_words;
       jb = Jbtable.create ~entries:config.jbtable_entries ();
       snaps = Snapshot.create ();
       spm = Spm.create ~config:config.spm ();
@@ -512,17 +521,17 @@ let run ?config ?init_mem ?sink prog = finish (start ?config ?init_mem ?sink pro
 (* ---- architectural snapshots ------------------------------------------- *)
 
 (* Everything a session owns except the (immutable, shared) program and the
-   sink/warm plumbing, as a plain record of plain data: registers, memory,
-   jbTable, register snapshots, SPM, and the scalar cursor. The decoded
-   micro-op cache is deliberately excluded — it holds closures (not
-   marshalable) and is cheap to rebuild relative to any measured interval,
-   so [resume] re-derives it from the program. The fields alias the live
-   session's arrays — serialize (or deep-copy) the capture before stepping
-   the session further. *)
+   sink/warm plumbing, as a plain record of plain data: registers, memory
+   (its bare page table: [a_cfg.mem_words] is its size), jbTable, register
+   snapshots, SPM, and the scalar cursor. The decoded micro-op cache is
+   deliberately excluded — it holds closures (not marshalable) and is cheap
+   to rebuild relative to any measured interval, so [resume] re-derives it
+   from the program. The fields alias the live session's arrays — serialize
+   (or deep-copy) the capture before stepping the session further. *)
 type arch = {
   a_cfg : config;
   a_regs : int array;
-  a_mem : int array;
+  a_mem : int array array;
   a_jb : Jbtable.t;
   a_snaps : Snapshot.t;
   a_spm : Spm.t;
@@ -537,7 +546,7 @@ let capture st =
   {
     a_cfg = st.cfg;
     a_regs = st.regs;
-    a_mem = st.mem;
+    a_mem = st.mem.Memory.pages;
     a_jb = st.jb;
     a_snaps = st.snaps;
     a_spm = st.spm;
@@ -548,8 +557,8 @@ let capture st =
     a_halted = st.halted;
   }
 
-let arch_mem a = a.a_mem
-let arch_with_mem a mem = { a with a_mem = mem }
+let arch_mem a = Memory.of_pages ~words:a.a_cfg.mem_words a.a_mem
+let arch_with_mem a mem = { a with a_mem = mem.Memory.pages }
 let arch_instructions a = a.a_count
 let arch_halted a = a.a_halted
 
@@ -562,7 +571,7 @@ let resume ?sink ?warm prog arch =
       cfg = arch.a_cfg;
       prog;
       regs = arch.a_regs;
-      mem = arch.a_mem;
+      mem = Memory.of_pages ~words:arch.a_cfg.mem_words arch.a_mem;
       jb = arch.a_jb;
       snaps = arch.a_snaps;
       spm = arch.a_spm;

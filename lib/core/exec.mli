@@ -54,15 +54,15 @@ type config = {
 }
 
 val default_config : config
-(** [Sempe_hw], 1 MiB of words, 200M instruction budget, Table II SPM,
-    [No_fault]. *)
+(** [Sempe_hw], 1 Mi words (8 MiB of simulated memory, paged: see
+    {!Memory}), 200M instruction budget, Table II SPM, [No_fault]. *)
 
 exception Out_of_bounds of { pc : int; addr : int }
 exception Budget_exceeded of int
 
 type result = {
   regs : int array;        (** architectural registers at [Halt] *)
-  memory : int array;      (** final memory image *)
+  memory : Memory.t;       (** final memory image *)
   dyn_instrs : int;        (** committed instructions *)
   dyn_sjmps : int;         (** committed secure branches *)
   max_nesting : int;       (** deepest secure-branch nesting reached *)
@@ -71,7 +71,7 @@ type result = {
 
 val run :
   ?config:config
-  -> ?init_mem:(int array -> unit)
+  -> ?init_mem:(Memory.t -> unit)
   -> ?sink:(Sempe_pipeline.Uop.event -> unit)
   -> Sempe_isa.Program.t
   -> result
@@ -97,7 +97,7 @@ type session
 
 val start :
   ?config:config
-  -> ?init_mem:(int array -> unit)
+  -> ?init_mem:(Memory.t -> unit)
   -> ?sink:(Sempe_pipeline.Uop.event -> unit)
   -> ?warm:Sempe_pipeline.Warm.t
   -> Sempe_isa.Program.t
@@ -133,19 +133,26 @@ val finish : session -> result
 type arch
 (** The complete architectural state of a session — registers, memory,
     jbTable, register snapshots, SPM, program counter and instruction
-    count — as a plain, [Marshal]-serializable value. The program itself
-    is not included (it is immutable; pass it to {!resume}). *)
+    count — as a plain, [Marshal]-serializable value. Unwritten memory
+    pages are empty arrays (see {!Memory.t}), so an unmarshaled copy
+    shares no writable storage between them. The program itself is not
+    included (it is immutable; pass it to {!resume}). *)
 
 val capture : session -> arch
 (** Snapshot the session's state. The capture {e aliases} the session's
-    live arrays: serialize or deep-copy it before stepping the session
-    further (this is what {!Sempe_sampling.Checkpoint} does). *)
+    live arrays and memory pages: serialize or deep-copy it before
+    stepping the session further (this is what
+    {!Sempe_sampling.Checkpoint} does). *)
 
-val arch_mem : arch -> int array
-val arch_with_mem : arch -> int array -> arch
+val arch_mem : arch -> Memory.t
+val arch_with_mem : arch -> Memory.t -> arch
 (** Memory-image surgery for checkpoint serializers: the memory is by far
     the largest component and mostly zero, so [Sempe_sampling.Checkpoint]
-    swaps it for a sparse encoding around [Marshal]. *)
+    swaps it for a sparse encoding around [Marshal]. The capture keeps
+    only the memory's page table and takes its size from the config, so
+    [arch_with_mem a (Memory.create 0)] is an arch with an empty table: a
+    placeholder to marshal, which {!resume} rejects until the real
+    memory is put back. *)
 
 val arch_instructions : arch -> int
 (** Committed-instruction count at capture time. *)
@@ -160,4 +167,6 @@ val resume :
   -> session
 (** Revive a captured state as a runnable session. The session takes
     ownership of the capture's arrays (unmarshal a fresh copy per resume).
-    [sink] / [warm] as in {!start}. *)
+    [sink] / [warm] as in {!start}.
+    @raise Invalid_argument if the capture's memory does not have the
+    configured size. *)

@@ -14,7 +14,7 @@ val simulate :
   -> ?max_instrs:int
   -> ?forgiving_oob:bool
   -> ?fault:Exec.fault
-  -> ?init_mem:(int array -> unit)
+  -> ?init_mem:(Memory.t -> unit)
   -> ?observe:(Sempe_pipeline.Uop.event -> unit)
   -> ?sink:Sempe_obs.Sink.t
   -> Sempe_isa.Program.t
@@ -45,7 +45,7 @@ val execute :
   -> ?max_instrs:int
   -> ?forgiving_oob:bool
   -> ?fault:Exec.fault
-  -> ?init_mem:(int array -> unit)
+  -> ?init_mem:(Memory.t -> unit)
   -> ?warm:Sempe_pipeline.Warm.t
   -> Sempe_isa.Program.t
   -> Exec.result

@@ -1,4 +1,5 @@
 module Exec = Sempe_core.Exec
+module Memory = Sempe_core.Memory
 module Run = Sempe_core.Run
 module Scheme = Sempe_core.Scheme
 module Harness = Sempe_workloads.Harness
@@ -61,9 +62,9 @@ let simulated ctx built secrets (case : Gen.case) =
     rv = res.Exec.regs.(Sempe_isa.Reg.rv);
     gvals =
       List.map
-        (fun g -> res.Exec.memory.(Codegen.scalar_offset layout g))
+        (fun g -> Memory.get res.Exec.memory (Codegen.scalar_offset layout g))
         Gen.globals;
-    arr = Array.sub res.Exec.memory off size;
+    arr = Memory.sub res.Exec.memory off size;
   }
 
 let state_diff expected got =
@@ -243,7 +244,7 @@ let check_checkpoint ctx (case : Gen.case) =
       let agree label (r : Exec.result) =
         if r.Exec.regs <> reference.Exec.regs then
           Some (label ^ ": final registers differ from uncheckpointed run")
-        else if r.Exec.memory <> reference.Exec.memory then
+        else if not (Memory.equal r.Exec.memory reference.Exec.memory) then
           Some (label ^ ": final memory differs from uncheckpointed run")
         else if r.Exec.dyn_instrs <> reference.Exec.dyn_instrs then
           Some (label ^ ": instruction count differs from uncheckpointed run")

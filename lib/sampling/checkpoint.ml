@@ -1,17 +1,17 @@
 module Exec = Sempe_core.Exec
+module Memory = Sempe_core.Memory
 module Warm = Sempe_pipeline.Warm
 
 (* What actually gets marshaled. The memory image — by far the largest
-   component of the architectural state (the default machine has 1M words
-   = 8 MB) — is swapped for a sparse (index, value) encoding of its
-   nonzero words before serialization; everything else (registers,
-   jbTable, register snapshots, SPM) is serialized as-is, and the warm
-   microarchitectural state goes through {!Warm.freeze} into a
-   closure-free image of flat arrays and scalars. Nothing in the payload
+   component of the architectural state — is swapped for a sparse (index,
+   value) encoding of its nonzero words before serialization; everything
+   else (registers, jbTable, register snapshots, SPM) is serialized as-is,
+   and the warm microarchitectural state goes through {!Warm.freeze} into
+   a closure-free image of flat arrays and scalars. Nothing in the payload
    holds a closure, so plain [Marshal] suffices and the bytes are not
    tied to the producing binary. *)
 type payload = {
-  arch : Exec.arch; (* with the memory image swapped for [||] *)
+  arch : Exec.arch; (* with the memory swapped for an empty one *)
   warm : Warm.frozen;
   mem_words : int;
   nz_idx : int array;
@@ -24,38 +24,27 @@ type t = {
   halted : bool;
 }
 
+(* Saves and restores are on the sampler's critical sequential path, so
+   both touch only the memory pages the program has written: save counts
+   and then copies their nonzero words (ascending addresses), restore
+   refills just the pages those addresses name. *)
 let save ~arch ~warm =
   let mem = Exec.arch_mem arch in
-  let words = Array.length mem in
-  (* Single pass over the (large, almost entirely zero) memory image into
-     amortized-doubling buffers; saves are on the critical sequential path
-     of the sampler, so the scan is kept allocation-light. *)
-  let cap = ref 256 in
-  let idx = ref (Array.make !cap 0) and vals = ref (Array.make !cap 0) in
   let n = ref 0 in
-  for i = 0 to words - 1 do
-    let v = Array.unsafe_get mem i in
-    if v <> 0 then begin
-      if !n = !cap then begin
-        let cap' = 2 * !cap in
-        let idx' = Array.make cap' 0 and vals' = Array.make cap' 0 in
-        Array.blit !idx 0 idx' 0 !n;
-        Array.blit !vals 0 vals' 0 !n;
-        idx := idx';
-        vals := vals';
-        cap := cap'
-      end;
-      !idx.(!n) <- i;
-      !vals.(!n) <- v;
-      incr n
-    end
-  done;
-  let nz_idx = Array.sub !idx 0 !n and nz_val = Array.sub !vals 0 !n in
+  Memory.iter_nonzero (fun _ _ -> incr n) mem;
+  let nz_idx = Array.make !n 0 and nz_val = Array.make !n 0 in
+  let j = ref 0 in
+  Memory.iter_nonzero
+    (fun i v ->
+      nz_idx.(!j) <- i;
+      nz_val.(!j) <- v;
+      incr j)
+    mem;
   let payload =
     {
-      arch = Exec.arch_with_mem arch [||];
+      arch = Exec.arch_with_mem arch (Memory.create 0);
       warm = Warm.freeze warm;
-      mem_words = words;
+      mem_words = Memory.length mem;
       nz_idx;
       nz_val;
     }
@@ -68,8 +57,8 @@ let save ~arch ~warm =
 
 let restore t =
   let payload : payload = Marshal.from_string t.bytes 0 in
-  let mem = Array.make payload.mem_words 0 in
-  Array.iteri (fun j i -> mem.(i) <- payload.nz_val.(j)) payload.nz_idx;
+  let mem = Memory.create payload.mem_words in
+  Array.iteri (fun j i -> Memory.set mem i payload.nz_val.(j)) payload.nz_idx;
   (Exec.arch_with_mem payload.arch mem, Warm.thaw payload.warm)
 
 let instructions t = t.instructions

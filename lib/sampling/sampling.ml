@@ -90,7 +90,8 @@ let stride_of config =
    - each measured interval re-simulates [warmup + interval] instructions
      in detail, one interval in every [stride];
    - each measured interval also pays a checkpoint save + restore
-     (a memory-image scan, a marshal round-trip and a pool handoff),
+     (a walk of the written memory pages, a marshal round-trip and a
+     pool handoff),
      charged as [checkpoint_equiv_instrs] detailed-instruction
      equivalents.
 

@@ -124,7 +124,7 @@ val estimate :
   -> ?max_instrs:int
   -> ?forgiving_oob:bool
   -> ?fault:Sempe_core.Exec.fault
-  -> ?init_mem:(int array -> unit)
+  -> ?init_mem:(Sempe_core.Memory.t -> unit)
   -> ?config:config
   -> ?workers:int
   -> ?plan:plan

@@ -19,7 +19,7 @@ val prime_probe_trace :
   -> ?max_slices:int
   -> support:Sempe_core.Exec.support
   -> prog:Sempe_isa.Program.t
-  -> init_mem:(int array -> unit)
+  -> init_mem:(Sempe_core.Memory.t -> unit)
   -> unit
   -> trace
 (** Run [prog] in slices of [slice] instructions (default 200, at most

@@ -120,13 +120,14 @@ type t = {
   mutable accepted : int;
   mutable rejected : int;
   mutable active : int;
-  mutable conns : (int * Unix.file_descr) list;
+  conns : (int, Unix.file_descr * Thread.t) Hashtbl.t;
+  (* open connections and their handlers: each handler removes its own
+     entry as it exits, so the table never outgrows the open set *)
   mutable next_conn : int;
   stop_flag : bool Atomic.t;
   stop_done : bool Atomic.t;
   mutable accept_thread : Thread.t option;
   mutable health_thread : Thread.t option;
-  mutable handler_threads : Thread.t list;
 }
 
 let addr t = t.address
@@ -304,6 +305,7 @@ let stats_json t =
                 ("accepted", Json.Int t.accepted);
                 ("rejected", Json.Int t.rejected);
                 ("active", Json.Int t.active);
+                ("handler_threads", Json.Int (Hashtbl.length t.conns));
               ] );
         ])
 
@@ -383,7 +385,7 @@ let handler t cid fd =
       (try Unix.close fd with _ -> ());
       locked t (fun () ->
           t.active <- t.active - 1;
-          t.conns <- List.filter (fun (c, _) -> c <> cid) t.conns))
+          Hashtbl.remove t.conns cid))
     (fun () -> conn_loop t fd)
 
 let busy_doc =
@@ -428,16 +430,14 @@ let accept_loop t =
           (try Frame.write fd busy_doc with _ -> ());
           try Unix.close fd with _ -> ()
         end
-        else begin
-          let th =
-            locked t (fun () ->
-                let cid = t.next_conn in
-                t.next_conn <- cid + 1;
-                t.conns <- (cid, fd) :: t.conns;
-                Thread.create (fun () -> handler t cid fd) ())
-          in
-          locked t (fun () -> t.handler_threads <- th :: t.handler_threads)
-        end
+        else
+          (* Registered under the lock the handler takes to deregister, so
+             even a handler that exits at once finds its entry. *)
+          locked t (fun () ->
+              let cid = t.next_conn in
+              t.next_conn <- cid + 1;
+              let th = Thread.create (fun () -> handler t cid fd) () in
+              Hashtbl.replace t.conns cid (fd, th))
     end
   done
 
@@ -503,13 +503,12 @@ let start ?(config = default_config) ~shards address =
       accepted = 0;
       rejected = 0;
       active = 0;
-      conns = [];
+      conns = Hashtbl.create 16;
       next_conn = 0;
       stop_flag = Atomic.make false;
       stop_done = Atomic.make false;
       accept_thread = None;
       health_thread = None;
-      handler_threads = [];
     }
   in
   t.accept_thread <- Some (Thread.create accept_loop t);
@@ -527,12 +526,14 @@ let stop t =
      | Server.Tcp _ -> ());
     (* Wake connections idle in [Frame.read]; in-flight forwards finish
        and reply before their handlers exit. *)
-    let fds = locked t (fun () -> t.conns) in
+    let open_conns =
+      locked t (fun () -> List.of_seq (Hashtbl.to_seq_values t.conns))
+    in
     List.iter
-      (fun (_, fd) -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ())
-      fds;
-    let threads = locked t (fun () -> t.handler_threads) in
-    List.iter Thread.join threads
+      (fun (fd, _) -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ())
+      open_conns;
+    (* Handlers that already deregistered have nothing left to do. *)
+    List.iter (fun (_, th) -> Thread.join th) open_conns
   end
 
 let wait t =

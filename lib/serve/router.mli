@@ -95,4 +95,6 @@ val stats_json : t -> Sempe_obs.Json.t
 (** The router's counters, as served by the [stats] op: totals for
     requests, forwards, retries, failovers and errors; per-shard
     address / liveness / forward counts; and the fleet's summed
-    result-cache hits and misses (queried live from each live shard). *)
+    result-cache hits and misses (queried live from each live shard); and
+    connection counts, with [handler_threads] as in
+    {!Server.stats_json}. *)

@@ -87,12 +87,13 @@ type t = {
   mutable active : int;
   mutable in_flight : int;
   mutable max_in_flight : int;
-  mutable conns : (int * Unix.file_descr) list;
+  conns : (int, Unix.file_descr * Thread.t) Hashtbl.t;
+  (* open connections and their handlers: each handler removes its own
+     entry as it exits, so the table never outgrows the open set *)
   mutable next_conn : int;
   stop_flag : bool Atomic.t;
   stop_done : bool Atomic.t;
   mutable accept_thread : Thread.t option;
-  mutable handler_threads : Thread.t list;
 }
 
 let addr t = t.address
@@ -144,6 +145,7 @@ let stats_json t =
                 ("accepted", Json.Int t.accepted);
                 ("rejected", Json.Int t.rejected);
                 ("active", Json.Int t.active);
+                ("handler_threads", Json.Int (Hashtbl.length t.conns));
               ] );
           ("in_flight", Json.Int t.in_flight);
           ("max_in_flight", Json.Int t.max_in_flight);
@@ -373,7 +375,7 @@ let handler t cid fd =
       (try Unix.close fd with _ -> ());
       locked t (fun () ->
           t.active <- t.active - 1;
-          t.conns <- List.filter (fun (c, _) -> c <> cid) t.conns))
+          Hashtbl.remove t.conns cid))
     (fun () -> conn_loop t fd)
 
 let busy_doc =
@@ -418,16 +420,14 @@ let accept_loop t =
           (try Frame.write fd busy_doc with _ -> ());
           try Unix.close fd with _ -> ()
         end
-        else begin
-          let th =
-            locked t (fun () ->
-                let cid = t.next_conn in
-                t.next_conn <- cid + 1;
-                t.conns <- (cid, fd) :: t.conns;
-                Thread.create (fun () -> handler t cid fd) ())
-          in
-          locked t (fun () -> t.handler_threads <- th :: t.handler_threads)
-        end
+        else
+          (* Registered under the lock the handler takes to deregister, so
+             even a handler that exits at once finds its entry. *)
+          locked t (fun () ->
+              let cid = t.next_conn in
+              t.next_conn <- cid + 1;
+              let th = Thread.create (fun () -> handler t cid fd) () in
+              Hashtbl.replace t.conns cid (fd, th))
     end
   done
 
@@ -488,12 +488,11 @@ let start ?(config = default_config) address =
       active = 0;
       in_flight = 0;
       max_in_flight = 0;
-      conns = [];
+      conns = Hashtbl.create 16;
       next_conn = 0;
       stop_flag = Atomic.make false;
       stop_done = Atomic.make false;
       accept_thread = None;
-      handler_threads = [];
     }
   in
   (* Warm start: reload whatever the previous run flushed. Entries go in
@@ -544,12 +543,14 @@ let stop t =
     in
     drain ();
     (* Wake connections idle in [Frame.read] so their handlers exit. *)
-    let fds = locked t (fun () -> t.conns) in
+    let open_conns =
+      locked t (fun () -> List.of_seq (Hashtbl.to_seq_values t.conns))
+    in
     List.iter
-      (fun (_, fd) -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ())
-      fds;
-    let threads = locked t (fun () -> t.handler_threads) in
-    List.iter Thread.join threads;
+      (fun (fd, _) -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ())
+      open_conns;
+    (* Handlers that already deregistered have nothing left to do. *)
+    List.iter (fun (_, th) -> Thread.join th) open_conns;
     Pool.shutdown ~drain:true t.pool;
     (* Every thread is joined and the pool drained: the caches are
        quiescent, flush them. A failed flush must not turn a graceful

@@ -89,4 +89,7 @@ val stats_json : t -> Sempe_obs.Json.t
     totals, cache hits/misses/evictions and cost accounting for both
     caches, entries reloaded from the persistent store
     ([disk_loaded_results] / [disk_loaded_plans]), coalesced and executed
-    requests, connection counts and request latency percentiles. *)
+    requests, connection counts ([handler_threads] is the number of
+    connection handlers retained, which is the number of open
+    connections: finished handlers are dropped as they exit) and request
+    latency percentiles. *)

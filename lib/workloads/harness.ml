@@ -1,6 +1,7 @@
 module Scheme = Sempe_core.Scheme
 module Run = Sempe_core.Run
 module Exec = Sempe_core.Exec
+module Memory = Sempe_core.Memory
 module Codegen = Sempe_lang.Codegen
 module Shadow = Sempe_lang.Shadow
 
@@ -31,7 +32,7 @@ let build ?fault scheme ast =
 let init_mem_of built ~globals ~arrays mem =
   List.iter
     (fun (name, value) ->
-      mem.(Codegen.scalar_offset built.layout name) <- value)
+      Memory.set mem (Codegen.scalar_offset built.layout name) value)
     globals;
   List.iter
     (fun (name, values) ->
@@ -40,7 +41,7 @@ let init_mem_of built ~globals ~arrays mem =
         invalid_arg
           (Printf.sprintf "Harness.run: array %S expects %d values, got %d"
              name size (Array.length values));
-      Array.blit values 0 mem off size)
+      Memory.blit_array values 0 mem off size)
     arrays
 
 let run ?machine ?(mem_words = 1 lsl 20) ?max_instrs ?forgiving_oob ?fault
@@ -63,8 +64,8 @@ let sample ?machine ?(mem_words = 1 lsl 20) ?max_instrs ?forgiving_oob ?fault
 let return_value (o : Run.outcome) = o.Run.exec.Exec.regs.(Sempe_isa.Reg.rv)
 
 let read_global built (o : Run.outcome) name =
-  o.Run.exec.Exec.memory.(Codegen.scalar_offset built.layout name)
+  Memory.get o.Run.exec.Exec.memory (Codegen.scalar_offset built.layout name)
 
 let read_array built (o : Run.outcome) name =
   let off, size = Codegen.array_slice built.layout name in
-  Array.sub o.Run.exec.Exec.memory off size
+  Memory.sub o.Run.exec.Exec.memory off size

@@ -39,7 +39,7 @@ val init_mem_of :
   built
   -> globals:(string * int) list
   -> arrays:(string * int array) list
-  -> int array
+  -> Sempe_core.Memory.t
   -> unit
 (** The memory initializer {!run} and {!sample} install the named
     [globals]/[arrays] with — exposed for callers that drive

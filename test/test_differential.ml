@@ -13,6 +13,7 @@
 
 open Sempe_isa
 module Exec = Sempe_core.Exec
+module Memory = Sempe_core.Memory
 module Jbtable = Sempe_core.Jbtable
 module Snapshot = Sempe_core.Snapshot
 module Scheme = Sempe_core.Scheme
@@ -37,8 +38,10 @@ type ref_result = {
 (* Semantics transcribed from the paper sections the production core
    implements, with the pre-rewrite execution strategy. Event order per
    instruction is the contract both interpreters share: fetch, data access,
-   control flow; Commit before the Drain it causes. *)
-let ref_run ~(config : Exec.config) ?(init_mem = fun (_ : int array) -> ())
+   control flow; Commit before the Drain it causes. Memory is one flat
+   array, independent of the core's paged layout: [init_mem] fills a paged
+   image that is flattened once before the run. *)
+let ref_run ~(config : Exec.config) ?(init_mem = fun (_ : Memory.t) -> ())
     ?(sink = fun (_ : Uop.event) -> ()) prog =
   assert (config.Exec.fault = Exec.No_fault);
   let mw = config.Exec.mem_words in
@@ -46,13 +49,16 @@ let ref_run ~(config : Exec.config) ?(init_mem = fun (_ : int array) -> ())
   let sempe = config.Exec.support = Exec.Sempe_hw in
   let plen = Program.length prog in
   let regs = Array.make Reg.count 0 in
-  let mem = Array.make mw 0 in
+  let mem =
+    let m = Memory.create mw in
+    init_mem m;
+    Memory.sub m 0 mw
+  in
   let jb = Jbtable.create ~entries:config.Exec.jbtable_entries () in
   let snaps = Snapshot.create () in
   let spm = Spm.create ~config:config.Exec.spm () in
   regs.(Reg.sp) <- mw - 1;
   regs.(Reg.gp) <- 0;
-  init_mem mem;
   let pc = ref prog.Program.entry in
   let count = ref 0 and sjmps = ref 0 and nesting = ref 0 in
   let halted = ref false in
@@ -211,6 +217,12 @@ let ref_run ~(config : Exec.config) ?(init_mem = fun (_ : int array) -> ())
 
 (* ---- comparison driver ------------------------------------------------ *)
 
+(* Word by word: the reference's flat image against the paged one. *)
+let same_image flat mem =
+  Memory.length mem = Array.length flat
+  && (let rec go i = i = Array.length flat || (flat.(i) = Memory.get mem i && go (i + 1)) in
+      go 0)
+
 let check_same ~what ~config ~init_mem prog =
   (* Detailed runs: each side feeds its own fresh timing model. *)
   let t_ref = Timing.create () in
@@ -221,7 +233,7 @@ let check_same ~what ~config ~init_mem prog =
   Alcotest.(check bool)
     (what ^ ": memory image")
     true
-    (r.r_mem = n.Exec.memory);
+    (same_image r.r_mem n.Exec.memory);
   Alcotest.(check int) (what ^ ": dyn instrs") r.r_instrs n.Exec.dyn_instrs;
   Alcotest.(check int) (what ^ ": dyn sjmps") r.r_sjmps n.Exec.dyn_sjmps;
   Alcotest.(check int) (what ^ ": max nesting") r.r_nesting n.Exec.max_nesting;

@@ -4,6 +4,7 @@
 
 open Sempe_isa
 module Exec = Sempe_core.Exec
+module Memory = Sempe_core.Memory
 module Uop = Sempe_pipeline.Uop
 
 let r10 = 10
@@ -249,13 +250,15 @@ let test_sp_init_no_alias () =
   Builder.halt b;
   let prog = Builder.assemble b ~entry:"entry" ~data_words:1 in
   let config = { Exec.default_config with Exec.mem_words = mw } in
-  let res = Exec.run ~config ~init_mem:(fun m -> m.(0) <- 42) prog in
+  let res = Exec.run ~config ~init_mem:(fun m -> Memory.set m 0 42) prog in
   Alcotest.(check int) "sp starts at the last valid word" (mw - 1) res.Exec.regs.(Reg.sp);
-  Alcotest.(check int) "store through sp lands in bounds" 7 res.Exec.memory.(mw - 1);
+  Alcotest.(check int) "store through sp lands in bounds" 7
+    (Memory.get res.Exec.memory (mw - 1));
   Alcotest.(check int) "load through sp reads it back (old: dropped to 0)" 7
     res.Exec.regs.(r12);
   Alcotest.(check int) "global word 0 untouched" 42 res.Exec.regs.(r11);
-  Alcotest.(check int) "memory image keeps the global" 42 res.Exec.memory.(0)
+  Alcotest.(check int) "memory image keeps the global" 42
+    (Memory.get res.Exec.memory 0)
 
 let test_overflow () =
   (* 31 nested secure branches exceed the 30-entry jbTable. *)

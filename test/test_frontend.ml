@@ -117,7 +117,8 @@ let test_asm_basic () =
   Alcotest.(check int) "data words" 2 prog.Program.data_words;
   let config = { Sempe_core.Exec.default_config with Sempe_core.Exec.mem_words = 64 } in
   let res = Sempe_core.Exec.run ~config prog in
-  Alcotest.(check int) "doubling result" 192 res.Sempe_core.Exec.memory.(0)
+  Alcotest.(check int) "doubling result" 192
+    (Sempe_core.Memory.get res.Sempe_core.Exec.memory 0)
 
 let test_asm_secure_branch () =
   let src =

@@ -5,19 +5,20 @@
 open Sempe_lang
 open Ast
 module Exec = Sempe_core.Exec
+module Memory = Sempe_core.Memory
 
 let compile_and_run ?(support = Exec.Legacy) ?(globals = []) ?(arrays = [])
     (prog : Ast.program) =
   let compiled, layout = Codegen.compile prog in
   let init_mem mem =
     List.iter
-      (fun (name, value) -> mem.(Codegen.scalar_offset layout name) <- value)
+      (fun (name, value) -> Memory.set mem (Codegen.scalar_offset layout name) value)
       globals;
     List.iter
       (fun (name, values) ->
         let off, size = Codegen.array_slice layout name in
         assert (Array.length values = size);
-        Array.blit values 0 mem off size)
+        Memory.blit_array values 0 mem off size)
       arrays
   in
   let config = { Exec.default_config with Exec.support; mem_words = 1 lsl 16 } in
@@ -241,8 +242,8 @@ let test_secret_trace_independence () =
       | Sempe_pipeline.Uop.Drain _ -> ()
     in
     let init_mem mem =
-      mem.(Codegen.scalar_offset layout "s1") <- s1;
-      mem.(Codegen.scalar_offset layout "s2") <- s2
+      Memory.set mem (Codegen.scalar_offset layout "s1") s1;
+      Memory.set mem (Codegen.scalar_offset layout "s2") s2
     in
     let config =
       { Exec.default_config with Exec.support = Exec.Sempe_hw; mem_words = 1 lsl 16 }

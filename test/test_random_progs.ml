@@ -20,6 +20,7 @@ module Eval = Sempe_lang.Eval
 module Shadow = Sempe_lang.Shadow
 module Codegen = Sempe_lang.Codegen
 module Exec = Sempe_core.Exec
+module Memory = Sempe_core.Memory
 module Scheme = Sempe_core.Scheme
 module Harness = Sempe_workloads.Harness
 module G = QCheck.Gen
@@ -265,10 +266,10 @@ let prop_sempe_trace_secret_independent =
            let init_mem mem =
              List.iter
                (fun (name, value) ->
-                 mem.(Codegen.scalar_offset layout name) <- value)
+                 Memory.set mem (Codegen.scalar_offset layout name) value)
                secrets;
              let off, _ = Codegen.array_slice layout array_name in
-             List.iteri (fun k v_ -> mem.(off + k) <- v_) fill
+             List.iteri (fun k v_ -> Memory.set mem (off + k) v_) fill
            in
            let config =
              { Exec.default_config with Exec.support = Exec.Sempe_hw;

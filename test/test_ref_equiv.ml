@@ -9,6 +9,8 @@
    across the QCheck cases) and require bit-identical observable
    behavior: per-operation outcomes, per-branch predictions,
    resident-tag listings, statistics counters, and state signatures.
+   The paged simulated memory ([lib/core/memory.ml]) is bonded the same
+   way to the flat [int array] it replaced.
 
    The streams are derived from a generated PRNG seed rather than a
    generated operation list: QCheck shrinks the seed (useless) but can
@@ -16,6 +18,7 @@
    million-cell generated structure. *)
 
 module Cache = Sempe_mem.Cache
+module Memory = Sempe_core.Memory
 module Tage = Sempe_bpred.Tage
 module Stats = Sempe_util.Stats
 
@@ -156,6 +159,106 @@ let tage_equiv_prop seed =
     tage_configs;
   true
 
+(* ---- paged memory vs a flat int array ---- *)
+
+(* Sizes that are not page multiples (a short last page), one that is,
+   one smaller than a page, and an empty memory. *)
+let memory_sizes =
+  [ (3 * Memory.page_size) + 77; (2 * Memory.page_size) + 1; 2 * Memory.page_size;
+    Memory.page_size - 1; 5; 0 ]
+
+let memory_ops_per_case = 1_500
+
+let memory_equiv_prop seed =
+  let rand = Random.State.make [| seed; 0x9a9e |] in
+  List.iter
+    (fun words ->
+      let mem = Memory.create words and flat = Array.make words 0 in
+      let fail op fmt = QCheck.Test.fail_reportf ("words %d, op %d: " ^^ fmt) words op in
+      (* Half the addresses sit within two words of a page boundary. *)
+      let addr () =
+        if Random.State.bool rand then
+          let page = Random.State.int rand (words / Memory.page_size + 1) in
+          let a = (page * Memory.page_size) + Random.State.int rand 5 - 2 in
+          max 0 (min (words - 1) a)
+        else Random.State.int rand words
+      in
+      (* Zero often, so pages get written back to all-zero. *)
+      let value () =
+        if Random.State.int rand 3 = 0 then 0 else Random.State.bits rand - (1 lsl 29)
+      in
+      let check_whole op =
+        if Memory.sub mem 0 words <> flat then fail op "whole image diverges";
+        let nz = ref [] in
+        Memory.iter_nonzero (fun i v -> nz := (i, v) :: !nz) mem;
+        let want = ref [] in
+        Array.iteri (fun i v -> if v <> 0 then want := (i, v) :: !want) flat;
+        if !nz <> !want then fail op "iter_nonzero diverges";
+        (* Contents equality, whatever the page allocation history. *)
+        let fresh = Memory.create words in
+        Memory.blit_array flat 0 fresh 0 words;
+        if not (Memory.equal mem fresh && Memory.equal fresh mem) then
+          fail op "not equal to a fresh copy of its contents";
+        if words > 0 then begin
+          let a = addr () in
+          Memory.set fresh a (Memory.get fresh a + 1);
+          if Memory.equal mem fresh then fail op "equal despite word %d differing" a
+        end
+      in
+      let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+      if
+        not
+          (raises (fun () -> Memory.get mem words)
+          && raises (fun () -> Memory.get mem (-1))
+          && raises (fun () -> Memory.set mem words 1)
+          && raises (fun () -> Memory.sub mem 0 (words + 1)))
+      then fail 0 "an out-of-bounds access did not raise";
+      if words > 0 then
+        for op = 1 to memory_ops_per_case do
+          (match Random.State.int rand 100 with
+           | r when r < 35 ->
+             let a = addr () in
+             if Memory.get mem a <> flat.(a) then fail op "get %d diverges" a
+           | r when r < 75 ->
+             let a = addr () and v = value () in
+             Memory.set mem a v;
+             flat.(a) <- v
+           | r when r < 85 ->
+             let dst = addr () in
+             let len = Random.State.int rand (min (words - dst) (2 * Memory.page_size) + 1) in
+             let src =
+               if Random.State.bool rand then Array.make (len + 3) 0
+               else Array.init (len + 3) (fun _ -> value ())
+             in
+             Memory.blit_array src 3 mem dst len;
+             Array.blit src 3 flat dst len
+           | r when r < 99 ->
+             let pos = addr () in
+             let len = Random.State.int rand (min (words - pos) (2 * Memory.page_size) + 1) in
+             if Memory.sub mem pos len <> Array.sub flat pos len then
+               fail op "sub %d %d diverges" pos len
+           | _ -> check_whole op)
+        done;
+      check_whole memory_ops_per_case)
+    memory_sizes;
+  true
+
+let test_memory_zero_pages () =
+  let words = (4 * Memory.page_size) + 10 in
+  let m = Memory.create words in
+  Memory.set m 5 0;
+  Memory.blit_array (Array.make 100 0) 0 m Memory.page_size 100;
+  Alcotest.(check int) "zero writes allocate nothing" 0 (Memory.allocated_pages m);
+  Memory.set m (words - 1) 9;
+  Alcotest.(check int) "one write, one page" 1 (Memory.allocated_pages m);
+  Alcotest.(check bool) "written page differs from empty" false
+    (Memory.equal m (Memory.create words));
+  Memory.set m (words - 1) 0;
+  Alcotest.(check bool) "written-then-zeroed page equals unwritten" true
+    (Memory.equal m (Memory.create words));
+  Alcotest.(check bool) "sizes differ" false
+    (Memory.equal (Memory.create words) (Memory.create (words + 1)))
+
 let tests =
   [
     qtest
@@ -164,4 +267,8 @@ let tests =
     qtest
       (QCheck.Test.make ~name:"packed TAGE equals record-based reference"
          ~count:4 QCheck.small_nat tage_equiv_prop);
+    qtest
+      (QCheck.Test.make ~name:"paged memory equals flat-array reference"
+         ~count:10 QCheck.small_nat memory_equiv_prop);
+    Alcotest.test_case "paged memory: zero pages" `Quick test_memory_zero_pages;
   ]

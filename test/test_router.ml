@@ -320,6 +320,42 @@ let test_router_retries_refusing_shard () =
             (Json.to_string (Api.perform req0))
             (Json.to_string (ok (Client.call conn req0)))))
 
+(* The router reaps its finished connection handlers, and so do the
+   shards behind it, which get one connection per routed request. *)
+let test_fleet_reaps_handlers () =
+  let s0 = sock_path "reap-s0" and s1 = sock_path "reap-s1" in
+  let r = sock_path "reap-r" in
+  List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ s0; s1; r ];
+  let shard0 = Server.start (Server.Unix_sock s0) in
+  let shard1 = Server.start (Server.Unix_sock s1) in
+  let router =
+    Router.start ~shards:[ Server.Unix_sock s0; Server.Unix_sock s1 ] (Server.Unix_sock r)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Router.stop router;
+      Server.stop shard0;
+      Server.stop shard1;
+      List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ s0; s1; r ])
+    (fun () ->
+      let reqs = [| request_owned_by 0; request_owned_by 1 |] in
+      for i = 1 to 1_000 do
+        with_conn (Server.Unix_sock r) (fun conn -> ignore (ok (Client.call conn reqs.(i land 1))))
+      done;
+      let settle = Test_serve.settle in
+      let retained json = stat [ "connections"; "handler_threads" ] json in
+      with_conn (Server.Unix_sock r) (fun conn ->
+          Alcotest.(check int) "router retains only the open connection" 1
+            (settle ~want:1 (fun () -> retained (ok (Client.stats conn)))));
+      List.iteri
+        (fun i shard ->
+          let json = Server.stats_json shard in
+          Alcotest.(check bool) (Printf.sprintf "shard %d served its share" i) true
+            (stat [ "connections"; "accepted" ] json >= 500);
+          Alcotest.(check int) (Printf.sprintf "shard %d retains no handlers" i) 0
+            (settle ~want:0 (fun () -> retained (Server.stats_json shard))))
+        [ shard0; shard1 ])
+
 let tests =
   [
     Alcotest.test_case "ring: deterministic assignment" `Quick
@@ -336,4 +372,6 @@ let tests =
       test_fleet_byte_equality_failover_drain;
     Alcotest.test_case "fleet: refusing shard retried" `Quick
       test_router_retries_refusing_shard;
+    Alcotest.test_case "fleet: finished handlers reaped" `Quick
+      test_fleet_reaps_handlers;
   ]

@@ -7,6 +7,7 @@
    programs alike. *)
 
 module Exec = Sempe_core.Exec
+module Memory = Sempe_core.Memory
 module Run = Sempe_core.Run
 module Scheme = Sempe_core.Scheme
 module Timing = Sempe_pipeline.Timing
@@ -164,7 +165,60 @@ let test_checkpoint_roundtrip () =
   Alcotest.(check bool) "architectural registers agree" true
     (res1.Exec.regs = reference.Exec.regs && res2.Exec.regs = reference.Exec.regs);
   Alcotest.(check bool) "memory images agree" true
-    (res1.Exec.memory = reference.Exec.memory)
+    (Memory.equal res1.Exec.memory reference.Exec.memory)
+
+(* Unwritten memory pages must come back from a checkpoint, or from a raw
+   [Marshal] of a capture, without sharing storage: writing two of them
+   after the restore leaves each page holding only its own words. The
+   program's stores all follow the cut and go to pages 2 and 3; pages 1-3
+   are unwritten when the checkpoint is taken. *)
+let test_restored_pages_independent () =
+  let module Builder = Sempe_isa.Builder in
+  let module Reg = Sempe_isa.Reg in
+  let page = Memory.page_size in
+  let words = (4 * page) + 100 in
+  let b = Builder.create () in
+  Builder.bind b "entry";
+  List.iter
+    (fun (r, v, addr) ->
+      Builder.li b r v;
+      Builder.st b r Reg.gp addr)
+    [ (10, 11, (2 * page) + 5); (11, 22, (3 * page) + 5); (12, 33, (3 * page) + 7) ];
+  Builder.halt b;
+  let prog = Builder.assemble b ~entry:"entry" ~data_words:1 in
+  let config = { Exec.default_config with Exec.mem_words = words } in
+  let init_mem m =
+    Memory.set m 0 42;
+    Memory.set m ((4 * page) + 50) 7
+  in
+  let warm = Warm.create () in
+  let sess = Exec.start ~config ~init_mem ~warm prog in
+  let (_ : bool) = Exec.step_slice sess 1 in
+  let arch = Exec.capture sess in
+  let ckpt = Checkpoint.save ~arch ~warm in
+  let marshaled = Marshal.to_string arch [] in
+  let check label (mem : Memory.t) =
+    List.iter
+      (fun (addr, want) ->
+        Alcotest.(check int) (Printf.sprintf "%s: word %d" label addr) want
+          (Memory.get mem addr))
+      [ (0, 42); ((4 * page) + 50, 7); ((2 * page) + 5, 11); ((3 * page) + 5, 22);
+        ((3 * page) + 7, 33); ((2 * page) + 7, 0); (page + 5, 0); (page + 7, 0) ]
+  in
+  for round = 1 to 2 do
+    let arch, _ = Checkpoint.restore ckpt in
+    check (Printf.sprintf "checkpoint restore %d" round)
+      (Exec.finish (Exec.resume prog arch)).Exec.memory
+  done;
+  let arch : Exec.arch = Marshal.from_string marshaled 0 in
+  check "marshaled capture" (Exec.finish (Exec.resume prog arch)).Exec.memory;
+  check "original session" (Exec.finish sess).Exec.memory;
+  let m : Memory.t = Marshal.from_string (Marshal.to_string (Memory.create words) []) 0 in
+  Memory.set m ((2 * page) + 5) 11;
+  Memory.set m ((3 * page) + 5) 22;
+  Memory.set m ((3 * page) + 7) 33;
+  List.iter (fun (a, v) -> Memory.set m a v) [ (0, 42); ((4 * page) + 50, 7) ];
+  check "marshaled memory" m
 
 (* Mean relative error over the curated workloads must not grow as
    coverage grows. The sweep is fully deterministic, so this is a fixed
@@ -351,6 +405,8 @@ let tests =
     Alcotest.test_case "ff warming matches detailed warming" `Quick
       test_warm_fidelity;
     Alcotest.test_case "checkpoint round-trip" `Quick test_checkpoint_roundtrip;
+    Alcotest.test_case "restored unwritten pages stay independent" `Quick
+      test_restored_pages_independent;
     Alcotest.test_case "error shrinks with coverage (curated)" `Slow
       test_error_shrinks_with_coverage;
     Alcotest.test_case "error shrinks with coverage (random programs)" `Slow

@@ -386,6 +386,37 @@ let stat path json =
   in
   go json path
 
+(* Poll [f] for up to ~5 s until it returns [want]; the last value. A
+   closed connection's handler exits asynchronously, a moment later. *)
+let settle ~want f =
+  let rec go tries =
+    let v = f () in
+    if v = want || tries = 0 then v
+    else begin
+      Thread.delay 0.01;
+      go (tries - 1)
+    end
+  in
+  go 500
+
+(* Each accepted connection gets a handler thread. A finished handler
+   must be dropped as it exits, not kept until [stop]: after a burst of
+   short connections the daemon retains exactly its open connections. *)
+let test_server_reaps_handlers () =
+  with_server "reap" (fun _server addr ->
+      for _ = 1 to 1_000 do
+        with_conn addr (fun conn -> ok (Client.ping conn))
+      done;
+      with_conn addr (fun conn ->
+          let stats = ref Json.Null in
+          let retained =
+            settle ~want:1 (fun () ->
+                stats := ok (Client.stats conn);
+                stat [ "connections"; "handler_threads" ] !stats)
+          in
+          Alcotest.(check int) "accepted" 1_001 (stat [ "connections"; "accepted" ] !stats);
+          Alcotest.(check int) "handlers retained = open connections" 1 retained))
+
 let test_server_byte_equality_and_caching () =
   with_server "bytes" (fun _server addr ->
       with_conn addr (fun conn ->
@@ -596,6 +627,8 @@ let tests =
       test_plan_image_roundtrip;
     Alcotest.test_case "daemon: byte equality and caching" `Quick
       test_server_byte_equality_and_caching;
+    Alcotest.test_case "daemon: finished handlers reaped" `Quick
+      test_server_reaps_handlers;
     Alcotest.test_case "daemon: plan cache across eviction" `Quick
       test_server_sample_plan_cache;
     Alcotest.test_case "daemon: timeout leaves daemon alive" `Quick

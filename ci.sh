@@ -1,8 +1,8 @@
 #!/bin/sh
-# CI entry point: type-check, build, run the test suites, then the -j
-# determinism sweep, the perf-regression gate, the sampled-simulation
-# smoke, the differential fuzz smoke, the serving smokes and the
-# benchmark smoke. `dune build @ci` runs the same build/test/sweep/smoke
+# CI entry point: type-check, build, run the test suites, then the
+# compare-free guard on the simulator core, the -j determinism sweep,
+# the perf-regression gate, the sampled-simulation smoke, the
+# differential fuzz smoke, the serving smokes and the benchmark smoke. `dune build @ci` runs the same build/test/sweep/smoke
 # checks as a single dune invocation; the perf gate compares wall-clock
 # rates and the benchmark smoke drives dune itself, so both run here
 # (and in the GitHub workflow), not under dune.
@@ -15,6 +15,28 @@ echo "== dune build"
 dune build
 echo "== dune runtest"
 dune runtest
+
+echo "== compare-free simulator core: no polymorphic compare in the hot libraries"
+# Without flambda, and under the dev profile's -opaque, a compare at a
+# type not known to be int (Stdlib.max/min/compare, structural = or <>)
+# is a call into the C runtime, several ns per µop that no test or
+# allocation assert can see. No object of the interpreter, timing model,
+# caches or predictors may reference one. OCaml 5.0 mangles Stdlib.max
+# as camlStdlib__max_N, 5.1 as camlStdlib.max_N; both are matched.
+poly='caml_(compare|equal|notequal|lessthan|lessequal|greaterthan|greaterequal)([^A-Za-z0-9_]|$)'
+poly="$poly|camlStdlib(\.|__)(max|min|compare)_[0-9]+"
+objs=$(find _build/default/lib/core _build/default/lib/pipeline \
+  _build/default/lib/mem _build/default/lib/bpred -path '*/native/*.o')
+test -n "$objs"
+bad=0
+for o in $objs; do
+  if objdump -dr "$o" | grep -Eq "$poly"; then
+    echo "polymorphic compare in $o:"
+    objdump -dr "$o" | grep -E "$poly" | sed 's/^/    /'
+    bad=1
+  fi
+done
+test "$bad" = 0
 
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT

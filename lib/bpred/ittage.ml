@@ -44,7 +44,7 @@ let geometric_lengths cfg =
       ** (1.0 /. float_of_int (n - 1))
   in
   Array.init n (fun i ->
-      max (i + 1)
+      Int.max (i + 1)
         (int_of_float
            (Float.round (float_of_int cfg.min_history *. (ratio ** float_of_int i)))))
 
@@ -60,7 +60,7 @@ let make cfg =
     e_target = Array.make (n * tsize) 0;
     e_conf = Array.make (n * tsize) 0;
     e_u = Array.make (n * tsize) 0;
-    hmask = Array.init n (fun i -> (1 lsl min 30 (lens.(i) * 2)) - 1);
+    hmask = Array.init n (fun i -> (1 lsl Int.min 30 (lens.(i) * 2)) - 1);
     history = 0;
     tick = 0;
   }

@@ -53,6 +53,16 @@ type t = {
 
 let history_capacity = 1024
 
+(* Field by field: a structural [<>] on the record would be a polymorphic
+   compare through the C runtime. *)
+let same_config (a : config) (b : config) =
+  a.num_tables = b.num_tables
+  && a.table_bits = b.table_bits
+  && a.tag_bits = b.tag_bits
+  && a.min_history = b.min_history
+  && a.max_history = b.max_history
+  && a.base_bits = b.base_bits
+
 let geometric_lengths cfg =
   (* L(i) = min * (max/min)^(i/(n-1)), rounded, strictly increasing. *)
   let n = cfg.num_tables in
@@ -68,7 +78,7 @@ let geometric_lengths cfg =
     let l =
       int_of_float (Float.round (float_of_int cfg.min_history *. (ratio ** float_of_int i)))
     in
-    let l = max l (!prev + 1) in
+    let l = Int.max l (!prev + 1) in
     lens.(i) <- l;
     prev := l
   done;
@@ -353,7 +363,8 @@ let create ?(config = default_config) () =
     load_state =
       (fun s ->
         let t' = (Marshal.from_string s 0 : t) in
-        if t'.cfg <> t.cfg then invalid_arg "Tage.load_state: config mismatch";
+        if not (same_config t'.cfg t.cfg) then
+          invalid_arg "Tage.load_state: config mismatch";
         Counters.copy_into ~src:t'.base ~dst:t.base;
         Array.blit t'.e_tag 0 t.e_tag 0 (Array.length t.e_tag);
         Array.blit t'.e_ctr 0 t.e_ctr 0 (Array.length t.e_ctr);

@@ -7,7 +7,7 @@ let page_mask = page_size - 1
 let page_count words = (words + page_mask) lsr page_bits
 
 (* Every page is full except possibly the last, which ends at [words]. *)
-let page_words words i = min page_size (words - (i lsl page_bits))
+let page_words words i = Int.min page_size (words - (i lsl page_bits))
 
 let create words =
   if words < 0 then invalid_arg "Memory.create";
@@ -67,7 +67,7 @@ let blit_array src src_pos m dst_pos len =
   let rec go s d n =
     if n > 0 then begin
       let i = d lsr page_bits and o = d land page_mask in
-      let k = min n (page_size - o) in
+      let k = Int.min n (page_size - o) in
       if Array.length m.pages.(i) > 0 || not (all_zero src s k) then
         Array.blit src s (writable_page m i) o k;
       go (s + k) (d + k) (n - k)
@@ -82,7 +82,7 @@ let sub m pos len =
     if n > 0 then begin
       let a = pos + d in
       let o = a land page_mask in
-      let k = min n (page_size - o) in
+      let k = Int.min n (page_size - o) in
       let p = m.pages.(a lsr page_bits) in
       if Array.length p > 0 then Array.blit p o r d k;
       go (d + k) (n - k)
@@ -105,7 +105,7 @@ let equal a b =
   let page_equal p q =
     if Array.length p = 0 then all_zero q 0 (Array.length q)
     else if Array.length q = 0 then all_zero p 0 (Array.length p)
-    else p = q
+    else Array.for_all2 (fun (x : int) y -> x = y) p q
   in
   a.words = b.words && Array.for_all2 page_equal a.pages b.pages
 

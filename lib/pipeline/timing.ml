@@ -1,42 +1,6 @@
 open Sempe_isa
 module Hierarchy = Sempe_mem.Hierarchy
 
-(* Per-cycle resource counters, kept in a tagged ring so no per-event
-   allocation is needed. The ring must be wider than the largest plausible
-   spread between the oldest in-flight and the newest allocated cycle. *)
-module Ports = struct
-  type t = { use : int array; tag : int array; cap : int }
-
-  let size = 1 lsl 15
-  let mask = size - 1
-
-  let create cap = { use = Array.make size 0; tag = Array.make size (-1); cap }
-
-  (* Earliest cycle >= [c] with a free slot; claims it. While-loop (a
-     local [let rec] would allocate a closure per µop without flambda). *)
-  let alloc t c =
-    let use = t.use and tag = t.tag and cap = t.cap in
-    let c = ref c in
-    let claimed = ref false in
-    while not !claimed do
-      let i = !c land mask in
-      if Array.unsafe_get tag i <> !c then begin
-        Array.unsafe_set tag i !c;
-        Array.unsafe_set use i 1;
-        claimed := true
-      end
-      else begin
-        let u = Array.unsafe_get use i in
-        if u < cap then begin
-          Array.unsafe_set use i (u + 1);
-          claimed := true
-        end
-        else incr c
-      end
-    done;
-    !c
-end
-
 type t = {
   cfg : Config.t;
   (* All warmable microarchitectural state (caches, predictors, BTB, RAS,
@@ -78,7 +42,7 @@ type t = {
   mutable c_il1_line : int;
   mutable c_fetch_extra : int;
   mutable c_mem_extra : int;
-  (* stores in flight, a direct-mapped ring like [Ports]: slot
+  (* stores in flight, a direct-mapped ring: slot
      [addr land store_mask] holds the word address of the youngest store
      mapping there and its completion cycle. A collision simply forgets the
      older store — forwarding is a performance heuristic, and a stale
@@ -118,7 +82,7 @@ let make ?(config = Config.default) ?predictor ?warm ?(store_slots = 4096) () =
     | Some w -> w (* revived (pre-warmed) state; [predictor] is ignored *)
     | None -> Warm.create ~machine:config ?predictor ()
   in
-  let store_slots = round_pow2 (max 1 store_slots) in
+  let store_slots = round_pow2 (Int.max 1 store_slots) in
   let t =
     {
       cfg = config;
@@ -177,6 +141,9 @@ let store_entries t =
 
 let current_cycles t = t.max_commit + 1
 
+let port_slots t =
+  Int.max (Ports.slots t.issue_ports) (Ports.slots t.load_ports)
+
 let break_fetch_group t = t.fetched_in_cycle <- t.cfg.Config.fetch_width
 
 (* All front-end stalls funnel through here so the stall stack knows *why*
@@ -198,7 +165,7 @@ let[@inline] fetch t ~pc ~track_line =
     if t.fetched_in_cycle >= cfg.Config.fetch_width then t.fetch_cycle + 1
     else t.fetch_cycle
   in
-  let f = max base t.stall_until in
+  let f = Int.max base t.stall_until in
   t.c_fetch_cause <- (if t.stall_until > base then t.stall_reason else Stall.Base);
   (* A hit costs no bubble beyond the pipelined front end; a miss stalls
      fetch for the extra latency. *)
@@ -279,7 +246,7 @@ let fu_latency t (cls : Instr.iclass) =
 
 let commit t ~complete =
   let cfg = t.cfg in
-  let c = max complete t.last_commit_cycle in
+  let c = Int.max complete t.last_commit_cycle in
   let c =
     if c = t.last_commit_cycle && t.commits_in_cycle >= cfg.Config.retire_width then
       c + 1
@@ -384,8 +351,21 @@ let[@inline] feed_uop_core t (u : Uop.t) ~track_line (sc : scratch) =
     done;
     !r
   in
-  let iss = Ports.alloc t.issue_ports ready in
-  let iss = if is_load then Ports.alloc t.load_ports iss else iss in
+  (* Every port request from here on is at or above [floor], the part of
+     [dispatch]'s bound that never falls: fetch cycles and, once the ROB
+     is full, the commit cycle of the µop [rob_entries] older are both
+     non-decreasing. (The IQ term can fall, as issue is out of order, and
+     the LQ/SQ terms bind only loads/stores.) The port rings grow to
+     cover the spread above it, so they never alias. *)
+  let floor =
+    let fb = f + cfg.Config.frontend_depth in
+    1
+    + (if t.n_uops >= Array.length t.rob_commit then
+         Int.max fb (Array.unsafe_get t.rob_commit t.rob_pos + 1)
+       else fb)
+  in
+  let iss = Ports.alloc t.issue_ports ~floor ready in
+  let iss = if is_load then Ports.alloc t.load_ports ~floor iss else iss in
   t.c_mem_extra <- 0;
   let complete =
     if is_load then begin
@@ -400,7 +380,7 @@ let[@inline] feed_uop_core t (u : Uop.t) ~track_line (sc : scratch) =
          ready. *)
       let slot = u.Uop.mem_addr land t.store_mask in
       if Array.unsafe_get t.store_addr slot = u.Uop.mem_addr then
-        max c (Array.unsafe_get t.store_done slot + 1)
+        Int.max c (Array.unsafe_get t.store_done slot + 1)
       else c
     end
     else if is_store then begin

@@ -69,6 +69,10 @@ val store_entries : t -> int
 (** Number of occupied slots in the store-forwarding ring (for
     memory-bound tests; scans the ring, not a hot-path accessor). *)
 
+val port_slots : t -> int
+(** Size of the larger issue/load-port ring ({!Ports}): 256 until the
+    spread of requested cycles forces growth (for tests). *)
+
 (** Aggregated results of a run. *)
 type report = {
   instructions : int;

@@ -241,6 +241,50 @@ let test_store_ring_forwards () =
   Alcotest.(check int) "instructions unchanged" default.Timing.instructions
     big.Timing.instructions
 
+let test_port_ring_grows () =
+  (* A dependent chain of load misses, each followed by eleven ALU ops
+     reading the loaded register. Each load issues a memory latency after
+     the previous one, so the µops of one ROB's worth request cycles
+     thousands above the port rings' floor, and each miss's eleven
+     readers contend for the eight issue ports at one far cycle. The ring
+     must grow, not alias; 11,964 cycles is what the fixed 32,768-slot
+     ring it replaced reported for this trace. *)
+  let trace =
+    List.concat
+      (List.init 64 (fun k ->
+           load ~srcs:[ 8 ] ~pc:(k land 7) ~dst:8
+             ~addr:((k * k * 6151) mod 9_000_000) ()
+           :: List.init 11 (fun j -> alu ~pc:(8 + j) ~dst:(16 + j) ~srcs:[ 8 ])))
+  in
+  let t = Timing.create () in
+  List.iter (Timing.feed t) trace;
+  let r = Timing.report t in
+  Alcotest.(check bool)
+    (Printf.sprintf "ring grew past 256 slots (%d)" (Timing.port_slots t))
+    true
+    (Timing.port_slots t > 256);
+  Alcotest.(check int) "instructions" 768 r.Timing.instructions;
+  Alcotest.(check int) "cycles pinned" 11_964 r.Timing.cycles
+
+let test_create_allocation () =
+  (* A fresh model's fixed cost, about 51,000 words with 256-slot port
+     rings (about 184,000 with the 32,768-slot rings they replaced). The
+     minimum of a few creates: once other domains have run, the domain's
+     allocation counters can pick up unrelated words across one
+     measurement. *)
+  let words () =
+    let before = Gc.allocated_bytes () in
+    let t = Timing.create () in
+    let after = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity t);
+    (after -. before) /. float_of_int (Sys.word_size / 8)
+  in
+  let w = List.fold_left Float.min infinity (List.init 5 (fun _ -> words ())) in
+  Alcotest.(check bool)
+    (Printf.sprintf "Timing.create allocates %.0f words <= 64 Ki" w)
+    true
+    (w <= 65_536.)
+
 let test_retire_width_bound () =
   (* Nothing retires faster than retire_width per cycle. *)
   let n = 2400 in
@@ -271,6 +315,8 @@ let tests =
       test_btb_installed_on_mispredicted_taken;
     Alcotest.test_case "store ring bounded" `Quick test_store_table_bounded;
     Alcotest.test_case "store ring forwards" `Quick test_store_ring_forwards;
+    Alcotest.test_case "port ring grows exactly" `Quick test_port_ring_grows;
+    Alcotest.test_case "create allocation" `Quick test_create_allocation;
     Alcotest.test_case "retire width bound" `Quick test_retire_width_bound;
     Alcotest.test_case "report consistency" `Quick test_report_consistency;
   ]

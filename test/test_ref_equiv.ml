@@ -10,7 +10,9 @@
    behavior: per-operation outcomes, per-branch predictions,
    resident-tag listings, statistics counters, and state signatures.
    The paged simulated memory ([lib/core/memory.ml]) is bonded the same
-   way to the flat [int array] it replaced.
+   way to the flat [int array] it replaced, and the timing model's
+   growable port ring ([lib/pipeline/ports.ml]) to an unbounded table of
+   per-cycle use counts ([Ref_ports]).
 
    The streams are derived from a generated PRNG seed rather than a
    generated operation list: QCheck shrinks the seed (useless) but can
@@ -20,6 +22,7 @@
 module Cache = Sempe_mem.Cache
 module Memory = Sempe_core.Memory
 module Tage = Sempe_bpred.Tage
+module Ports = Sempe_pipeline.Ports
 module Stats = Sempe_util.Stats
 
 let qtest = QCheck_alcotest.to_alcotest
@@ -259,6 +262,59 @@ let test_memory_zero_pages () =
   Alcotest.(check bool) "sizes differ" false
     (Memory.equal (Memory.create words) (Memory.create (words + 1)))
 
+(* ---- port ring vs Ref_ports ---- *)
+
+let ports_requests_per_cap = 10_000
+
+let ports_equiv_prop seed =
+  let rand = Random.State.make [| seed; 0x9047 |] in
+  for cap = 1 to 8 do
+    let ring = Ports.create cap and reference = Ref_ports.create cap in
+    let floor = ref 0 in
+    for op = 1 to ports_requests_per_cap do
+      (* The floor mostly creeps, as fetch does, and sometimes jumps, as
+         the ROB-full commit bound does after a miss. *)
+      (match Random.State.int rand 100 with
+       | r when r < 60 -> ()
+       | r when r < 97 -> floor := !floor + Random.State.int rand 4
+       | _ -> floor := !floor + Random.State.int rand 2_000);
+      (* Most requests crowd just above the floor, so cycles fill to [cap]
+         and the walk runs; the rest land up to 100,000 cycles out and
+         force growth while crowded cycles are still live. *)
+      let above =
+        match Random.State.int rand 100 with
+        | r when r < 80 -> Random.State.int rand 24
+        | r when r < 95 -> Random.State.int rand 1_000
+        | r when r < 99 -> Random.State.int rand 20_000
+        | _ -> Random.State.int rand 100_001
+      in
+      let c = !floor + above in
+      let got = Ports.alloc ring ~floor:!floor c
+      and want = Ref_ports.alloc reference c in
+      if got <> want then
+        QCheck.Test.fail_reportf
+          "cap %d, op %d: request %d (floor %d) claimed %d, reference %d" cap
+          op c !floor got want
+    done
+  done;
+  true
+
+let test_ports_contract () =
+  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  let p = Ports.create 2 in
+  Alcotest.(check int) "starts at 256 slots" 256 (Ports.slots p);
+  Alcotest.(check int) "first claim" 10 (Ports.alloc p ~floor:10 10);
+  Alcotest.(check int) "second claim" 10 (Ports.alloc p ~floor:10 10);
+  Alcotest.(check int) "full cycle walks on" 11 (Ports.alloc p ~floor:10 10);
+  Alcotest.(check int) "far request" 10_010 (Ports.alloc p ~floor:10 10_010);
+  Alcotest.(check int) "grew to fit the spread" 16_384 (Ports.slots p);
+  Alcotest.(check int) "live counts survive growth" 11 (Ports.alloc p ~floor:10 10);
+  Alcotest.(check bool) "request below floor" true
+    (raises (fun () -> Ports.alloc p ~floor:12 11));
+  Alcotest.(check bool) "falling floor" true
+    (raises (fun () -> Ports.alloc p ~floor:9 20));
+  Alcotest.(check bool) "zero cap" true (raises (fun () -> Ports.create 0))
+
 let tests =
   [
     qtest
@@ -271,4 +327,9 @@ let tests =
       (QCheck.Test.make ~name:"paged memory equals flat-array reference"
          ~count:10 QCheck.small_nat memory_equiv_prop);
     Alcotest.test_case "paged memory: zero pages" `Quick test_memory_zero_pages;
+    qtest
+      (QCheck.Test.make ~name:"port ring equals unbounded per-cycle counts"
+         ~count:10 QCheck.small_nat ports_equiv_prop);
+    Alcotest.test_case "port ring: floor contract and growth" `Quick
+      test_ports_contract;
   ]

@@ -75,12 +75,12 @@ let create cfg =
 let config t = t.cfg
 let num_sets t = t.nsets
 
-let line_of t addr =
+let[@inline] line_of t addr =
   if t.line_shift >= 0 then addr lsr t.line_shift else addr / t.cfg.line_bytes
 
-let set_index t ~addr = line_of t addr land (t.nsets - 1)
+let[@inline] set_index t ~addr = line_of t addr land (t.nsets - 1)
 
-let tag_of t addr =
+let[@inline] tag_of t addr =
   let line = line_of t addr in
   if t.set_shift >= 0 then line lsr t.set_shift else line / t.nsets
 
@@ -89,7 +89,7 @@ let tag_of t addr =
    construction. This is the per-access hot path of both execution modes,
    hence also the allocation-free scans instead of option-returning
    finds. *)
-let set_base t ~addr = set_index t ~addr * t.ways
+let[@inline] set_base t ~addr = set_index t ~addr * t.ways
 
 (* The scans below are while-loops over local refs rather than local
    recursive functions: without flambda a [let rec] capturing its

@@ -47,12 +47,11 @@ let grow t ~floor c =
   t.tag <- tag;
   t.mask <- mask
 
-(* While-loop (a local [let rec] would allocate a closure per µop without
-   flambda); the growth check is one compare per probed cycle. *)
-let alloc t ~floor c =
-  if floor < t.floor then invalid_arg "Ports.alloc: floor fell";
-  if c < floor then invalid_arg "Ports.alloc: request below floor";
-  t.floor <- floor;
+(* The slow path, out of line: [c] lies beyond the window, or its slot is
+   full and the claim moves on to later cycles. While-loop, because a
+   local [let rec] would allocate a closure per call; the growth check is
+   one compare per probed cycle. *)
+let alloc_slow t ~floor c =
   let c = ref c in
   let claimed = ref false in
   while not !claimed do
@@ -74,3 +73,28 @@ let alloc t ~floor c =
     end
   done;
   !c
+
+(* The fast path inlines into each caller: both contract checks, then a
+   claim of [c] itself when it lies in the window and its slot has room.
+   Anything else leaves for [alloc_slow]. *)
+let[@inline] alloc t ~floor c =
+  if floor < t.floor then invalid_arg "Ports.alloc: floor fell";
+  if c < floor then invalid_arg "Ports.alloc: request below floor";
+  t.floor <- floor;
+  if c - floor > t.mask then alloc_slow t ~floor c
+  else begin
+    let i = c land t.mask in
+    if Array.unsafe_get t.tag i <> c then begin
+      Array.unsafe_set t.tag i c;
+      Array.unsafe_set t.use i 1;
+      c
+    end
+    else begin
+      let u = Array.unsafe_get t.use i in
+      if u < t.cap then begin
+        Array.unsafe_set t.use i (u + 1);
+        c
+      end
+      else alloc_slow t ~floor (c + 1)
+    end
+  end

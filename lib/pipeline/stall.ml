@@ -18,7 +18,7 @@ let all =
 
 let count = List.length all
 
-let index = function
+let[@inline] index = function
   | Base -> 0
   | Icache -> 1
   | Redirect -> 2

@@ -191,7 +191,7 @@ let[@inline] fetch t ~pc ~track_line =
 
 (* Dispatch waits for back-end capacity: the µop [n - size] positions older
    must have freed its ROB/IQ/LQ/SQ entry. *)
-let dispatch t ~fetch_time ~is_load ~is_store =
+let[@inline] dispatch t ~fetch_time ~is_load ~is_store =
   let cfg = t.cfg in
   (* The bump steps are written out (not a local helper closing over [d]):
      a ref captured by a closure escapes and both would allocate per µop
@@ -244,7 +244,7 @@ let fu_latency t (cls : Instr.iclass) =
     (* memory latency added separately *)
     0
 
-let commit t ~complete =
+let[@inline] commit t ~complete =
   let cfg = t.cfg in
   let c = Int.max complete t.last_commit_cycle in
   let c =
@@ -524,7 +524,10 @@ let create ?config ?predictor ?warm ?store_slots ?probe () =
    | Some p -> t.feed_fn <- feed_fn_probe t p);
   t
 
-let feed t ev = t.feed_fn ev
+(* Returns the staged closure itself: a caller that passes [feed t] as a
+   sink makes one closure call per event, not a call through a partial
+   application that then calls [feed_fn]. *)
+let feed t = t.feed_fn
 
 type report = {
   instructions : int;

@@ -52,7 +52,8 @@ val create :
     and probe-free variants). *)
 
 val feed : t -> Uop.event -> unit
-(** Process the next event in commit order. *)
+(** Process the next event in commit order. [feed t] is the closure
+    staged at {!create}, so passing it as a sink adds no call hop. *)
 
 val config : t -> Config.t
 val hierarchy : t -> Sempe_mem.Hierarchy.t

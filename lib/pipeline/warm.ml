@@ -58,7 +58,9 @@ let ittage t = t.ittage
 let lat_l1 t = t.lat_l1
 let fetch_line t = t.fetch_line
 
-let fetch t ~pc =
+(* Inlines into each caller: a fetch from the current line costs a
+   compare and touches no cache; only a new line calls into the IL1. *)
+let[@inline] fetch t ~pc =
   let byte_addr = pc * t.inst_bytes in
   let line =
     if t.il1_line_shift >= 0 then byte_addr lsr t.il1_line_shift

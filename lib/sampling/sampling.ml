@@ -99,13 +99,14 @@ let stride_of config =
    made before the program runs. [func_ratio] was chosen above the
    functional/detailed cost ratio measured at the time, so that the
    fallback fired only for clearly mis-sized configurations. It is no
-   longer conservative: with the compare-free timing model, the traced
-   sim-grid layers of the benchmark ledger (the latest BENCH_*.json at
-   the repository root) give (exec + warm) / (exec + sink + warm +
-   timing) = 0.36-0.39 (0.31-0.33 before), so the model now slightly
-   under-predicts the sampled path's cost. Refitting both constants
-   from the ledger is an open item; until then they stay as they are,
-   so no fallback decision moves. *)
+   longer conservative. In the release build's traced records of the
+   benchmark ledger (BENCH_16.json at the repository root), sim-grid's
+   layers give (exec + warm) / (exec + sink + warm + timing) =
+   0.375-0.394, and sampled-djpeg's measured cost ratio is 0.62 against
+   a predicted 0.51: the model under-predicts the sampled path's cost.
+   Refitting both constants from the ledger is an open item. A refit can
+   move a fallback decision, and with it output bytes, so until then
+   they stay as they are. *)
 let func_ratio = 0.35
 let checkpoint_equiv_instrs = 10_000
 let fallback_threshold = 0.95

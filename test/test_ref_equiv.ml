@@ -268,6 +268,13 @@ let ports_requests_per_cap = 10_000
 
 let ports_equiv_prop seed =
   let rand = Random.State.make [| seed; 0x9047 |] in
+  (* The exit of [Ports.alloc] each request takes, read from outside the
+     ring: the reference's claims on the cycle and the ring's size before
+     the call. The inlined fast path claims a fresh slot or a slot under
+     [cap]; a full slot, or a cycle beyond the window, goes to the slow
+     path, which grows the ring for the latter. The bond is only as strong
+     as the exits its streams reach. *)
+  let fresh = ref 0 and under_cap = ref 0 and full = ref 0 and grew = ref 0 in
   for cap = 1 to 8 do
     let ring = Ports.create cap and reference = Ref_ports.create cap in
     let floor = ref 0 in
@@ -289,14 +296,27 @@ let ports_equiv_prop seed =
         | _ -> Random.State.int rand 100_001
       in
       let c = !floor + above in
+      let claims =
+        Option.value (Hashtbl.find_opt reference.Ref_ports.used c) ~default:0
+      and slots = Ports.slots ring in
       let got = Ports.alloc ring ~floor:!floor c
       and want = Ref_ports.alloc reference c in
       if got <> want then
         QCheck.Test.fail_reportf
           "cap %d, op %d: request %d (floor %d) claimed %d, reference %d" cap
-          op c !floor got want
+          op c !floor got want;
+      incr
+        (if Ports.slots ring > slots then grew
+         else if claims = 0 then fresh
+         else if claims < cap then under_cap
+         else full)
     done
   done;
+  if !fresh = 0 || !under_cap = 0 || !full = 0 || !grew = 0 then
+    QCheck.Test.fail_reportf
+      "stream missed an exit of Ports.alloc: %d fresh, %d under cap, %d \
+       full, %d grew"
+      !fresh !under_cap !full !grew;
   true
 
 let test_ports_contract () =

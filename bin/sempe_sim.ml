@@ -1448,7 +1448,7 @@ let router_cmd =
     Arg.(
       value & opt int Router.default_config.Router.retries
       & info [ "retries" ] ~docv:"N"
-          ~doc:"Connection attempts per shard before failing over.")
+          ~doc:"Forwarding attempts per shard before failing over.")
   in
   let backoff =
     Arg.(

@@ -180,7 +180,10 @@ echo "== fleet smoke: router + 2 shards, byte-equality, failover, drain"
 # fuzz-smoke onto shard 1, so TERM-killing shard 0 mid-run forces a
 # real failover (asserted from the router's counters) while the fleet
 # keeps answering with identical bytes — losing a shard costs cache
-# warmth, never correctness.
+# warmth, never correctness. The router reuses its links to a shard, so
+# before the kill shard 0 has accepted exactly two connections: the
+# router's one link, which carried all three routed requests, and the
+# stats query itself.
 "$sim" serve --listen "$out/shard0.sock" --workers 2 2> "$out/shard0.log" &
 sh0=$!
 "$sim" serve --listen "$out/shard1.sock" --workers 2 2> "$out/shard1.log" &
@@ -208,6 +211,8 @@ cmp "$out/routed-leakage.json" "$out/batch-leakage.json"
 "$sim" client fuzz-smoke -c "$out/router.sock" --fuzz-seed 5 --count 25 \
   > "$out/routed-fuzz.json"
 cmp "$out/routed-fuzz.json" "$out/batch-fuzz.json"
+"$sim" client stats -c "$out/shard0.sock" > "$out/shard0-stats.json"
+grep -q '"accepted":2[,}]' "$out/shard0-stats.json"
 kill -TERM "$sh0"
 wait "$sh0"
 "$sim" client simulate -c "$out/router.sock" --workload fibonacci \

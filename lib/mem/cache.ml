@@ -164,11 +164,11 @@ let probe t ~addr =
    lines are distinct. *)
 let rank_of t base stop i =
   let li = Array.unsafe_get t.lru i in
-  let rec count j acc =
-    if j >= stop then acc
-    else count (j + 1) (if Array.unsafe_get t.lru j > li then acc + 1 else acc)
-  in
-  count base 0
+  let rank = ref 0 in
+  for j = base to stop - 1 do
+    if Array.unsafe_get t.lru j > li then incr rank
+  done;
+  !rank
 
 let resident_tags t set_idx =
   (* Direct rank scan over the packed arrays (no copy, no sort): way of
@@ -209,15 +209,15 @@ let signature t =
      (number of strictly more-recent lines in the set) rather than the raw
      [lru] clock keeps the hash independent of access counts. Fold order
      (sets ascending, ways ascending) matches the record-based reference
-     bit for bit. *)
+     bit for bit. Plain loops over a local ref: no closure, so a report's
+     three signatures allocate nothing. *)
   let acc = ref 2166136261 in
-  let mix x = acc := (!acc * 16777619) lxor x in
   for s = 0 to t.nsets - 1 do
     let base = s * t.ways in
     let stop = base + t.ways in
     for i = base to stop - 1 do
-      mix (t.tags.(i) + 2);
-      mix (rank_of t base stop i)
+      acc := (!acc * 16777619) lxor (t.tags.(i) + 2);
+      acc := (!acc * 16777619) lxor rank_of t base stop i
     done
   done;
   !acc

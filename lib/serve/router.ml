@@ -5,11 +5,14 @@
    the client's own "id", because the shard reads the client's own
    payload). The router never parses a shard's reply.
 
-   Shard failure is handled at the forwarding layer: each attempt gets a
-   fresh connection; a refusal, hangup or frame error is retried with
-   doubling backoff, and a shard that exhausts its retries is marked
-   dead and skipped in favor of the next shard clockwise on the ring.
-   A background health thread pings dead shards back to life. *)
+   Every exchange with a shard — a forward, a stats query, a drain, a
+   health ping — runs over one of that shard's open links: an idle link
+   is reused and a new one opened only when none is idle. Shard failure
+   is handled at the forwarding layer: a refusal, hangup or frame error
+   is retried with doubling backoff, and a shard that exhausts its
+   retries is marked dead and skipped in favor of the next shard
+   clockwise on the ring. A background health thread pings dead shards
+   back to life. *)
 
 module Json = Sempe_obs.Json
 module Pool = Sempe_util.Pool
@@ -103,6 +106,8 @@ type shard = {
   s_addr : Server.addr;
   mutable s_alive : bool;
   mutable s_forwarded : int;
+  mutable s_idle : Unix.file_descr list;
+  (* open links to the shard that no exchange is using *)
 }
 
 type t = {
@@ -140,12 +145,14 @@ let locked t f =
 
 (* ---- forwarding ---- *)
 
+let close_quietly fd = try Unix.close fd with _ -> ()
+
 let connect_fd = function
   | Server.Unix_sock path ->
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     (try Unix.connect fd (Unix.ADDR_UNIX path)
      with e ->
-       (try Unix.close fd with _ -> ());
+       close_quietly fd;
        raise e);
     fd
   | Server.Tcp (host, port) ->
@@ -156,28 +163,55 @@ let connect_fd = function
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
     (try Unix.connect fd (Unix.ADDR_INET (inet, port))
      with e ->
-       (try Unix.close fd with _ -> ());
+       close_quietly fd;
        raise e);
     fd
 
-(* One attempt: fresh connection, the client's own payload bytes out,
-   the shard's reply bytes back. *)
-let try_shard t shard payload =
-  match connect_fd shard.s_addr with
-  | exception Unix.Unix_error (e, _, _) ->
-    Error (Printf.sprintf "connect: %s" (Unix.error_message e))
-  | fd ->
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with _ -> ())
-      (fun () ->
-        match
-          Frame.write fd payload;
-          Frame.read ~max_len:t.cfg.max_frame fd
-        with
-        | Some reply -> Ok reply
-        | None -> Error "shard closed the connection"
-        | exception Frame.Frame_error msg -> Error msg
-        | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e))
+(* One round trip with a shard: [payload] out, the shard's reply bytes
+   back. An idle link is taken if there is one, else a connection is
+   opened, so a shard never holds more links than its peak number of
+   concurrent exchanges. A link that returned a reply goes back on the
+   idle list (or is closed once the router is stopping); a link whose
+   exchange raised is closed and the failure returned as [Error]. A
+   failed idle link may only be stale — the shard restarted since the
+   link was opened — so it earns one fresh connection before the
+   exchange counts as failed. *)
+let exchange t shard payload =
+  let over fd =
+    let failed msg =
+      close_quietly fd;
+      Error msg
+    in
+    match
+      Frame.write fd payload;
+      Frame.read ~max_len:t.cfg.max_frame fd
+    with
+    | Some reply ->
+      locked t (fun () ->
+          if Atomic.get t.stop_done then close_quietly fd
+          else shard.s_idle <- fd :: shard.s_idle);
+      Ok reply
+    | None -> failed "shard closed the connection"
+    | exception Frame.Frame_error msg -> failed msg
+    | exception Unix.Unix_error (e, _, _) -> failed (Unix.error_message e)
+  in
+  let fresh () =
+    match connect_fd shard.s_addr with
+    | exception Unix.Unix_error (e, _, _) ->
+      Error (Printf.sprintf "connect: %s" (Unix.error_message e))
+    | fd -> over fd
+  in
+  let idle =
+    locked t (fun () ->
+        match shard.s_idle with
+        | fd :: rest ->
+          shard.s_idle <- rest;
+          Some fd
+        | [] -> None)
+  in
+  match idle with
+  | None -> fresh ()
+  | Some fd -> ( match over fd with Ok _ as ok -> ok | Error _ -> fresh ())
 
 let forward t key payload =
   let ring_order = Ring.order t.ring key in
@@ -194,7 +228,7 @@ let forward t key payload =
       let shard = t.shards.(idx) in
       if not first then locked t (fun () -> t.failovers <- t.failovers + 1);
       let rec attempt n backoff =
-        match try_shard t shard payload with
+        match exchange t shard payload with
         | Ok reply ->
           locked t (fun () ->
               shard.s_alive <- true;
@@ -221,46 +255,27 @@ let forward t key payload =
 
 (* ---- fleet control ---- *)
 
+let control_doc op = Json.to_string (Json.Obj [ ("op", Json.Str op) ])
+
 let drain_fleet t =
-  Array.iter
-    (fun shard ->
-      match connect_fd shard.s_addr with
-      | exception Unix.Unix_error _ -> ()
-      | fd ->
-        Fun.protect
-          ~finally:(fun () -> try Unix.close fd with _ -> ())
-          (fun () ->
-            try
-              Frame.write fd (Json.to_string (Json.Obj [ ("op", Json.Str "shutdown") ]));
-              ignore (Frame.read ~max_len:t.cfg.max_frame fd)
-            with _ -> ()))
-    t.shards
+  let doc = control_doc "shutdown" in
+  Array.iter (fun shard -> ignore (exchange t shard doc)) t.shards
 
 (* ---- stats ---- *)
 
 let shard_cache_counts t shard =
-  match connect_fd shard.s_addr with
-  | exception Unix.Unix_error _ -> None
-  | fd ->
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with _ -> ())
-      (fun () ->
-        match
-          Frame.write fd (Json.to_string (Json.Obj [ ("op", Json.Str "stats") ]));
-          Frame.read ~max_len:t.cfg.max_frame fd
-        with
-        | exception _ -> None
-        | None -> None
-        | Some reply -> (
-          match Json.of_string_strict reply with
-          | exception Json.Parse_error _ -> None
-          | doc -> (
-            match Option.bind (Json.member "result" doc) (Json.member "result_cache") with
-            | Some rc -> (
-              match (Json.member "hits" rc, Json.member "misses" rc) with
-              | Some (Json.Int h), Some (Json.Int m) -> Some (h, m)
-              | _ -> None)
-            | None -> None)))
+  match exchange t shard (control_doc "stats") with
+  | Error _ -> None
+  | Ok reply -> (
+    match Json.of_string_strict reply with
+    | exception Json.Parse_error _ -> None
+    | doc -> (
+      match Option.bind (Json.member "result" doc) (Json.member "result_cache") with
+      | Some rc -> (
+        match (Json.member "hits" rc, Json.member "misses" rc) with
+        | Some (Json.Int h), Some (Json.Int m) -> Some (h, m)
+        | _ -> None)
+      | None -> None))
 
 let stats_json t =
   (* Sum the fleet's result-cache counters so a load generator pointed
@@ -441,32 +456,22 @@ let accept_loop t =
     end
   done
 
-(* Revive dead shards: a cheap ping on a fresh connection. Live shards
-   are left alone — forwarding itself discovers failures faster than a
-   poll would. *)
+(* Revive dead shards: a cheap ping over a link. Live shards are left
+   alone — forwarding itself discovers failures faster than a poll
+   would. *)
 let health_loop t =
-  let ping_doc = Json.to_string (Json.Obj [ ("op", Json.Str "ping") ]) in
+  let ping_doc = control_doc "ping" in
   while not (Atomic.get t.stop_flag) do
     Array.iter
       (fun shard ->
-        if not (locked t (fun () -> shard.s_alive)) then begin
-          match connect_fd shard.s_addr with
-          | exception Unix.Unix_error _ -> ()
-          | fd ->
-            Fun.protect
-              ~finally:(fun () -> try Unix.close fd with _ -> ())
-              (fun () ->
-                match
-                  Frame.write fd ping_doc;
-                  Frame.read ~max_len:t.cfg.max_frame fd
-                with
-                | Some _ ->
-                  locked t (fun () -> shard.s_alive <- true);
-                  if t.cfg.verbose then
-                    Printf.eprintf "[router] shard %s back up\n%!"
-                      (Server.addr_to_string shard.s_addr)
-                | None | (exception _) -> ())
-        end)
+        if not (locked t (fun () -> shard.s_alive)) then
+          match exchange t shard ping_doc with
+          | Ok _ ->
+            locked t (fun () -> shard.s_alive <- true);
+            if t.cfg.verbose then
+              Printf.eprintf "[router] shard %s back up\n%!"
+                (Server.addr_to_string shard.s_addr)
+          | Error _ -> ())
       t.shards;
     (* Sleep in short slices so a stop request is honored promptly. *)
     let deadline = Pool.now_s () +. t.cfg.health_period_s in
@@ -492,7 +497,8 @@ let start ?(config = default_config) ~shards address =
       shards =
         Array.of_list
           (List.map
-             (fun a -> { s_addr = a; s_alive = true; s_forwarded = 0 })
+             (fun a ->
+               { s_addr = a; s_alive = true; s_forwarded = 0; s_idle = [] })
              shards);
       m = Mutex.create ();
       requests = 0;
@@ -533,7 +539,15 @@ let stop t =
       (fun (fd, _) -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ())
       open_conns;
     (* Handlers that already deregistered have nothing left to do. *)
-    List.iter (fun (_, th) -> Thread.join th) open_conns
+    List.iter (fun (_, th) -> Thread.join th) open_conns;
+    (* Every exchange is over, and none can pool a link again: close the
+       idle ones, which the shards see as a client hanging up. *)
+    locked t (fun () ->
+        Array.iter
+          (fun shard ->
+            List.iter close_quietly shard.s_idle;
+            shard.s_idle <- [])
+          t.shards)
   end
 
 let wait t =

@@ -12,12 +12,19 @@
 
     Placement uses a consistent-hash ring ({!Ring}) with virtual nodes:
     adding or removing one shard remaps only ~1/N of the keyspace.
-    Each forward gets a fresh connection and is retried with doubling
-    backoff on refusal, hangup or a framing error; a shard that
-    exhausts its retries is marked dead and the request fails over to
-    the next shard clockwise on the ring (losing only cache warmth,
-    never correctness). A health thread pings dead shards back into
-    rotation.
+
+    The router keeps open links to each shard and reuses them: an
+    exchange (a forward, a [stats] query, a drain, a health ping) takes
+    an idle link or connects, and a link that returned a reply goes back
+    on the shard's idle list, so a shard never holds more of the
+    router's links than its peak number of concurrent exchanges. A link
+    whose exchange fails is closed. A failed idle link may only be stale
+    (the shard restarted since), so it gets one fresh connection within
+    the same attempt. An attempt that still fails is retried with
+    doubling backoff; a shard that exhausts its retries is marked dead
+    and the request fails over to the next shard clockwise on the ring
+    (losing only cache warmth, never correctness). A health thread pings
+    dead shards back into rotation.
 
     Control ops are fleet-level: [ping] answers locally, [stats]
     reports routing counters plus the fleet's summed result-cache
@@ -52,7 +59,7 @@ end
 
 type config = {
   replicas : int;  (** virtual nodes per shard on the ring *)
-  retries : int;  (** connection attempts per shard before failover *)
+  retries : int;  (** attempts per shard before failover *)
   backoff_s : float;  (** delay before the first retry; doubles *)
   health_period_s : float;  (** dead-shard ping interval *)
   max_connections : int;  (** concurrent client connections *)
@@ -85,7 +92,8 @@ val drain_fleet : t -> unit
 
 val stop : t -> unit
 (** Graceful shutdown of the router itself: stop accepting, let
-    in-flight forwards finish and reply, join every thread. Idempotent. *)
+    in-flight forwards finish and reply, join every thread, close the
+    idle shard links. Idempotent. *)
 
 val wait : t -> unit
 (** Block until {!request_stop} (e.g. from a signal handler or a

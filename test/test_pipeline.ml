@@ -285,6 +285,29 @@ let test_create_allocation () =
     true
     (w <= 65_536.)
 
+let test_report_allocation () =
+  (* A report allocates the record, its boxed rates and the stall-stack
+     copy, about 50 words, and nothing per cache line: the three cache
+     signatures fold their lines in plain loops (a closure per line cost
+     about 34,000 words per report). Everything here is a small block, so
+     [Gc.minor_words] counts it exactly; [Gc.allocated_bytes] can miss
+     minor words on OCaml 5. The minimum of a few reports, as above. *)
+  let t = Timing.create () in
+  List.iter (Timing.feed t)
+    (List.init 300 (fun k -> load ~pc:(k land 31) ~dst:(8 + (k mod 8)) ~addr:(k * 72) ()));
+  let words () =
+    let before = Gc.minor_words () in
+    let r = Timing.report t in
+    let after = Gc.minor_words () in
+    ignore (Sys.opaque_identity r);
+    after -. before
+  in
+  let w = List.fold_left Float.min infinity (List.init 5 (fun _ -> words ())) in
+  Alcotest.(check bool)
+    (Printf.sprintf "Timing.report allocates %.0f words <= 256" w)
+    true
+    (w <= 256.)
+
 let test_retire_width_bound () =
   (* Nothing retires faster than retire_width per cycle. *)
   let n = 2400 in
@@ -317,6 +340,7 @@ let tests =
     Alcotest.test_case "store ring forwards" `Quick test_store_ring_forwards;
     Alcotest.test_case "port ring grows exactly" `Quick test_port_ring_grows;
     Alcotest.test_case "create allocation" `Quick test_create_allocation;
+    Alcotest.test_case "report allocation" `Quick test_report_allocation;
     Alcotest.test_case "retire width bound" `Quick test_retire_width_bound;
     Alcotest.test_case "report consistency" `Quick test_report_consistency;
   ]

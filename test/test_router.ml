@@ -3,7 +3,9 @@
    (round-trip, corruption tolerance, the server's reload-on-start
    path), and an in-process two-shard fleet behind a router — byte
    equality with the batch path, routing stability, retry/failover past
-   a refusing or killed shard, and graceful fleet drain. *)
+   a refusing or killed shard, graceful fleet drain, and the router's
+   reused shard links (one per sequential client, a stale link after a
+   shard restart, at most one per concurrent client). *)
 
 module Json = Sempe_obs.Json
 module Api = Sempe_serve.Api
@@ -320,41 +322,105 @@ let test_router_retries_refusing_shard () =
             (Json.to_string (Api.perform req0))
             (Json.to_string (ok (Client.call conn req0)))))
 
-(* The router reaps its finished connection handlers, and so do the
-   shards behind it, which get one connection per routed request. *)
-let test_fleet_reaps_handlers () =
-  let s0 = sock_path "reap-s0" and s1 = sock_path "reap-s1" in
-  let r = sock_path "reap-r" in
+(* A fresh in-process fleet of two shards behind a router, torn down
+   after [f]; [restart_shard0] stops shard 0 and starts a new one at the
+   same path. *)
+let with_fleet name f =
+  let s0 = sock_path (name ^ "-s0") and s1 = sock_path (name ^ "-s1") in
+  let r = sock_path (name ^ "-r") in
   List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ s0; s1; r ];
-  let shard0 = Server.start (Server.Unix_sock s0) in
+  let shard0 = ref (Server.start (Server.Unix_sock s0)) in
   let shard1 = Server.start (Server.Unix_sock s1) in
   let router =
     Router.start ~shards:[ Server.Unix_sock s0; Server.Unix_sock s1 ] (Server.Unix_sock r)
   in
+  let restart_shard0 () =
+    Server.stop !shard0;
+    shard0 := Server.start (Server.Unix_sock s0)
+  in
   Fun.protect
     ~finally:(fun () ->
       Router.stop router;
-      Server.stop shard0;
+      Server.stop !shard0;
       Server.stop shard1;
       List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ s0; s1; r ])
-    (fun () ->
+    (fun () -> f ~shards:(fun () -> [ !shard0; shard1 ]) ~restart_shard0 (Server.Unix_sock r))
+
+(* The router reaps its finished client handlers, and reaches each shard
+   over one link however many client connections come and go: 1,000
+   sequential routed requests, each on its own client connection. *)
+let test_fleet_reaps_handlers () =
+  with_fleet "reap" (fun ~shards ~restart_shard0:_ r ->
       let reqs = [| request_owned_by 0; request_owned_by 1 |] in
       for i = 1 to 1_000 do
-        with_conn (Server.Unix_sock r) (fun conn -> ignore (ok (Client.call conn reqs.(i land 1))))
+        with_conn r (fun conn -> ignore (ok (Client.call conn reqs.(i land 1))))
       done;
       let settle = Test_serve.settle in
       let retained json = stat [ "connections"; "handler_threads" ] json in
-      with_conn (Server.Unix_sock r) (fun conn ->
+      with_conn r (fun conn ->
           Alcotest.(check int) "router retains only the open connection" 1
             (settle ~want:1 (fun () -> retained (ok (Client.stats conn)))));
       List.iteri
         (fun i shard ->
           let json = Server.stats_json shard in
-          Alcotest.(check bool) (Printf.sprintf "shard %d served its share" i) true
-            (stat [ "connections"; "accepted" ] json >= 500);
-          Alcotest.(check int) (Printf.sprintf "shard %d retains no handlers" i) 0
-            (settle ~want:0 (fun () -> retained (Server.stats_json shard))))
-        [ shard0; shard1 ])
+          Alcotest.(check int)
+            (Printf.sprintf "shard %d accepted one connection, the router's link" i)
+            1
+            (stat [ "connections"; "accepted" ] json);
+          Alcotest.(check bool)
+            (Printf.sprintf "shard %d served its share over it" i)
+            true
+            (stat [ "requests" ] json >= 500);
+          Alcotest.(check int) (Printf.sprintf "shard %d retains that link's handler" i) 1
+            (retained json))
+        (shards ()))
+
+(* A shard restarted at the same address leaves the router holding a
+   stale idle link. The next request through it must still be served by
+   that shard, on one fresh connection, without counting a retry. *)
+let test_router_stale_link () =
+  with_fleet "stale" (fun ~shards ~restart_shard0 r ->
+      let req0 = request_owned_by 0 in
+      with_conn r (fun conn ->
+          ignore (ok (Client.call conn req0));
+          restart_shard0 ();
+          Alcotest.(check string) "reply over a fresh link = batch bytes"
+            (Json.to_string (Api.perform req0))
+            (Json.to_string (ok (Client.call conn req0)));
+          let stats = ok (Client.stats conn) in
+          Alcotest.(check int) "a stale link is not a retry" 0 (stat [ "retried" ] stats);
+          Alcotest.(check int) "nor a failover" 0 (stat [ "failovers" ] stats);
+          Alcotest.(check int) "the restarted shard got one link" 1
+            (stat [ "connections"; "accepted" ] (Server.stats_json (List.hd (shards ()))))))
+
+(* Links are opened only when none is idle, so K concurrent clients give
+   each shard at most K of the router's connections, not one per
+   request. *)
+let test_router_link_bound () =
+  with_fleet "bound" (fun ~shards ~restart_shard0:_ r ->
+      let k = 4 and per_client = 25 in
+      let reqs = [| request_owned_by 0; request_owned_by 1 |] in
+      let want = Array.map (fun req -> Json.to_string (Api.perform req)) reqs in
+      let mismatches = Atomic.make 0 in
+      let client c =
+        with_conn r (fun conn ->
+            for i = 1 to per_client do
+              let j = (c + i) land 1 in
+              match Client.call conn reqs.(j) with
+              | Ok doc when Json.to_string doc = want.(j) -> ()
+              | _ -> Atomic.incr mismatches
+            done)
+      in
+      List.iter Thread.join (List.init k (fun c -> Thread.create client c));
+      Alcotest.(check int) "every concurrent reply = batch bytes" 0 (Atomic.get mismatches);
+      List.iteri
+        (fun i shard ->
+          let accepted = stat [ "connections"; "accepted" ] (Server.stats_json shard) in
+          Alcotest.(check bool)
+            (Printf.sprintf "shard %d accepted %d <= %d links" i accepted k)
+            true
+            (accepted >= 1 && accepted <= k))
+        (shards ()))
 
 let tests =
   [
@@ -374,4 +440,8 @@ let tests =
       test_router_retries_refusing_shard;
     Alcotest.test_case "fleet: finished handlers reaped" `Quick
       test_fleet_reaps_handlers;
+    Alcotest.test_case "fleet: stale link reconnects" `Quick
+      test_router_stale_link;
+    Alcotest.test_case "fleet: links bounded by concurrency" `Quick
+      test_router_link_bound;
   ]

@@ -21,6 +21,7 @@ module Sink = Sempe_obs.Sink
 module Sampling = Sempe_sampling.Sampling
 module Pool = Sempe_util.Pool
 module Api = Sempe_serve.Api
+module Listener = Sempe_serve.Listener
 module Server = Sempe_serve.Server
 module Router = Sempe_serve.Router
 module Client = Sempe_serve.Client
@@ -1064,11 +1065,19 @@ let connect_arg =
            unix socket path.")
 
 let parse_addr s =
-  match Server.addr_of_string s with
+  match Listener.addr_of_string s with
   | Ok addr -> addr
   | Error msg ->
     Printf.eprintf "bad address %S: %s\n" s msg;
     exit 124
+
+(* [start ()] binds [listen]; an address that cannot be bound exits 1,
+   like an address that cannot be connected to. *)
+let listening listen start =
+  try start ()
+  with Unix.Unix_error (e, _, _) ->
+    Printf.eprintf "cannot listen on %s: %s\n" listen (Unix.error_message e);
+    exit 1
 
 let serve_cmd =
   let run listen workers result_entries plan_entries timeout_s max_connections
@@ -1090,9 +1099,9 @@ let serve_cmd =
         verbose;
       }
     in
-    let t = Server.start ~config addr in
+    let t = listening listen (fun () -> Server.start ~config addr) in
     Printf.eprintf "sempe-sim serve: listening on %s (%d workers)\n%!"
-      (Server.addr_to_string (Server.addr t))
+      (Listener.addr_to_string (Server.addr t))
       config.Server.workers;
     let on_signal _ = Server.request_stop t in
     Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
@@ -1414,9 +1423,9 @@ let router_cmd =
         verbose;
       }
     in
-    let t = Router.start ~config ~shards:shard_addrs addr in
+    let t = listening listen (fun () -> Router.start ~config ~shards:shard_addrs addr) in
     Printf.eprintf "sempe-sim router: listening on %s, %d shard(s)\n%!"
-      (Server.addr_to_string (Router.addr t))
+      (Listener.addr_to_string (Router.addr t))
       (List.length shard_addrs);
     let on_signal _ = Router.request_stop t in
     Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
@@ -1542,12 +1551,17 @@ let fleet_cmd =
     let addr = parse_addr listen in
     let config = { Router.default_config with Router.verbose } in
     let t =
-      Router.start ~config
-        ~shards:(List.init shards (fun i -> Server.Unix_sock (shard_sock i)))
-        addr
+      listening listen (fun () ->
+          try
+            Router.start ~config
+              ~shards:(List.init shards (fun i -> Server.Unix_sock (shard_sock i)))
+              addr
+          with e ->
+            kill_all ();
+            raise e)
     in
     Printf.eprintf "sempe-sim fleet: %d shard(s) up, router on %s\n%!" shards
-      (Server.addr_to_string (Router.addr t));
+      (Listener.addr_to_string (Router.addr t));
     let on_signal _ = Router.request_stop t in
     Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
     Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);

@@ -11,8 +11,9 @@ type error = { code : string; message : string }
     ["closed"] / ["protocol"] error when the connection died or the reply
     was malformed. *)
 
-val connect : Server.addr -> conn
-(** @raise Unix.Unix_error when the daemon is not reachable. *)
+val connect : Listener.addr -> conn
+(** @raise Unix.Unix_error when the daemon is not reachable (see
+    {!Listener.dial}). *)
 
 val close : conn -> unit
 (** Idempotent. *)

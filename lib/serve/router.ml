@@ -1,9 +1,9 @@
-(* The fleet front end: accepts the same framed JSON protocol as a
-   shard, consistent-hashes each request's partition key onto one of N
-   shards, and relays the original frame bytes verbatim — so the reply a
-   client sees is exactly the bytes the shard produced (the shard echoes
-   the client's own "id", because the shard reads the client's own
-   payload). The router never parses a shard's reply.
+(* The fleet front end: a Listener handler, like the daemon, that
+   consistent-hashes each request's partition key onto one of N shards
+   and relays the original frame bytes verbatim — so the reply a client
+   sees is exactly the bytes the shard produced (the shard echoes the
+   client's own "id", because the shard reads the client's own payload).
+   The router never parses a shard's reply to a forward.
 
    Every exchange with a shard — a forward, a stats query, a drain, a
    health ping — runs over one of that shard's open links: an idle link
@@ -103,7 +103,7 @@ let default_config =
   }
 
 type shard = {
-  s_addr : Server.addr;
+  s_addr : Listener.addr;
   mutable s_alive : bool;
   mutable s_forwarded : int;
   mutable s_idle : Unix.file_descr list;
@@ -112,32 +112,20 @@ type shard = {
 
 type t = {
   cfg : config;
-  address : Server.addr;
-  listen_fd : Unix.file_descr;
+  listener : Listener.t;
   ring : Ring.t;
   shards : shard array;
   m : Mutex.t;
-  mutable requests : int;
   mutable forwarded : int;
   mutable retried : int;
   mutable failovers : int;
   mutable errors : int;
-  mutable accepted : int;
-  mutable rejected : int;
-  mutable active : int;
-  conns : (int, Unix.file_descr * Thread.t) Hashtbl.t;
-  (* open connections and their handlers: each handler removes its own
-     entry as it exits, so the table never outgrows the open set *)
-  mutable next_conn : int;
-  stop_flag : bool Atomic.t;
-  stop_done : bool Atomic.t;
-  mutable accept_thread : Thread.t option;
   mutable health_thread : Thread.t option;
 }
 
-let addr t = t.address
+let addr t = Listener.addr t.listener
 
-let request_stop t = Atomic.set t.stop_flag true
+let request_stop t = Listener.request_stop t.listener
 
 let locked t f =
   Mutex.lock t.m;
@@ -146,26 +134,6 @@ let locked t f =
 (* ---- forwarding ---- *)
 
 let close_quietly fd = try Unix.close fd with _ -> ()
-
-let connect_fd = function
-  | Server.Unix_sock path ->
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (try Unix.connect fd (Unix.ADDR_UNIX path)
-     with e ->
-       close_quietly fd;
-       raise e);
-    fd
-  | Server.Tcp (host, port) ->
-    let inet =
-      try Unix.inet_addr_of_string host
-      with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    in
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    (try Unix.connect fd (Unix.ADDR_INET (inet, port))
-     with e ->
-       close_quietly fd;
-       raise e);
-    fd
 
 (* One round trip with a shard: [payload] out, the shard's reply bytes
    back. An idle link is taken if there is one, else a connection is
@@ -188,7 +156,7 @@ let exchange t shard payload =
     with
     | Some reply ->
       locked t (fun () ->
-          if Atomic.get t.stop_done then close_quietly fd
+          if Listener.stopping t.listener then close_quietly fd
           else shard.s_idle <- fd :: shard.s_idle);
       Ok reply
     | None -> failed "shard closed the connection"
@@ -196,7 +164,7 @@ let exchange t shard payload =
     | exception Unix.Unix_error (e, _, _) -> failed (Unix.error_message e)
   in
   let fresh () =
-    match connect_fd shard.s_addr with
+    match Listener.dial shard.s_addr with
     | exception Unix.Unix_error (e, _, _) ->
       Error (Printf.sprintf "connect: %s" (Unix.error_message e))
     | fd -> over fd
@@ -243,7 +211,7 @@ let forward t key payload =
           locked t (fun () -> shard.s_alive <- false);
           if t.cfg.verbose then
             Printf.eprintf "[router] shard %s down: %s\n%!"
-              (Server.addr_to_string shard.s_addr)
+              (Listener.addr_to_string shard.s_addr)
               msg;
           Error ("unavailable", msg)
       in
@@ -291,11 +259,12 @@ let stats_json t =
           misses := !misses + m
         | None -> ())
     t.shards;
+  let c = Listener.counters t.listener in
   locked t (fun () ->
       Json.Obj
         [
           ("role", Json.Str "router");
-          ("requests", Json.Int t.requests);
+          ("requests", Json.Int c.requests);
           ("forwarded", Json.Int t.forwarded);
           ("retried", Json.Int t.retried);
           ("failovers", Json.Int t.failovers);
@@ -307,69 +276,22 @@ let stats_json t =
                     (fun s ->
                       Json.Obj
                         [
-                          ("addr", Json.Str (Server.addr_to_string s.s_addr));
+                          ("addr", Json.Str (Listener.addr_to_string s.s_addr));
                           ("alive", Json.Bool s.s_alive);
                           ("forwarded", Json.Int s.s_forwarded);
                         ])
                     t.shards)) );
           ( "result_cache",
             Json.Obj [ ("hits", Json.Int !hits); ("misses", Json.Int !misses) ] );
-          ( "connections",
-            Json.Obj
-              [
-                ("accepted", Json.Int t.accepted);
-                ("rejected", Json.Int t.rejected);
-                ("active", Json.Int t.active);
-                ("handler_threads", Json.Int (Hashtbl.length t.conns));
-              ] );
+          ("connections", c.connections);
         ])
 
-(* ---- the wire loop ---- *)
+(* ---- the listener's handler ---- *)
 
-let write_reply fd ~id doc_fields =
-  let id_field = match id with Some i -> [ ("id", Json.Int i) ] | None -> [] in
-  Frame.write fd (Json.to_string (Json.Obj (id_field @ doc_fields)))
-
-let write_ok fd ~id result =
-  write_reply fd ~id
-    [ ("ok", Json.Bool true); ("cached", Json.Bool false); ("result", result) ]
-
-let write_err fd ~id code message =
-  write_reply fd ~id
-    [
-      ("ok", Json.Bool false);
-      ( "error",
-        Json.Obj [ ("code", Json.Str code); ("message", Json.Str message) ] );
-    ]
-
-let handle_payload t fd payload =
-  locked t (fun () -> t.requests <- t.requests + 1);
-  let fail ~id code message =
-    locked t (fun () -> t.errors <- t.errors + 1);
-    write_err fd ~id code message
-  in
-  match Json.of_string_strict ~max_bytes:t.cfg.max_frame payload with
-  | exception Json.Parse_error { pos; message } ->
-    fail ~id:None "bad-json" (Printf.sprintf "at byte %d: %s" pos message)
-  | Json.Obj fields as json -> (
-    let id =
-      match List.assoc_opt "id" fields with
-      | Some (Json.Int i) -> Some i
-      | _ -> None
-    in
-    match List.assoc_opt "op" fields with
-    | Some (Json.Str "ping") -> write_ok fd ~id (Json.Str "pong")
-    | Some (Json.Str "stats") -> write_ok fd ~id (stats_json t)
-    | Some (Json.Str "shutdown") ->
-      (* Graceful fleet drain: every shard finishes its in-flight work,
-         flushes its store and exits; then the router follows. *)
-      drain_fleet t;
-      write_ok fd ~id (Json.Bool true);
-      request_stop t
-    | _ -> (
-      match Api.request_of_json json with
-      | Error msg -> fail ~id "bad-request" msg
-      | Ok req -> (
+let handler t =
+  {
+    Listener.serve =
+      (fun ~t0:_ req payload ->
         let key = Api.route_key req in
         match forward t key payload with
         | Ok reply ->
@@ -377,91 +299,24 @@ let handle_payload t fd payload =
             Printf.eprintf "[router] %s -> shard %d\n%!"
               (Json.to_string (Api.request_to_json req))
               (Ring.assign t.ring key);
-          Frame.write fd reply
-        | Error (code, message) -> fail ~id code message)))
-  | _ -> fail ~id:None "bad-request" "request must be a JSON object"
-
-let conn_loop t fd =
-  let rec go () =
-    match Frame.read ~max_len:t.cfg.max_frame fd with
-    | None -> ()
-    | Some payload ->
-      handle_payload t fd payload;
-      go ()
-    | exception Frame.Frame_error msg ->
-      (try write_err fd ~id:None "bad-frame" msg with _ -> ())
-    | exception Unix.Unix_error _ -> ()
-  in
-  try go () with _ -> ()
-
-let handler t cid fd =
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close fd with _ -> ());
-      locked t (fun () ->
-          t.active <- t.active - 1;
-          Hashtbl.remove t.conns cid))
-    (fun () -> conn_loop t fd)
-
-let busy_doc =
-  Json.to_string
-    (Json.Obj
-       [
-         ("ok", Json.Bool false);
-         ( "error",
-           Json.Obj
-             [
-               ("code", Json.Str "busy");
-               ("message", Json.Str "connection limit reached");
-             ] );
-       ])
-
-let accept_loop t =
-  while not (Atomic.get t.stop_flag) do
-    let ready =
-      try
-        match Unix.select [ t.listen_fd ] [] [] 0.2 with
-        | [], _, _ -> false
-        | _ -> true
-      with Unix.Unix_error _ -> false
-    in
-    if ready && not (Atomic.get t.stop_flag) then begin
-      match Unix.accept t.listen_fd with
-      | exception Unix.Unix_error _ -> ()
-      | fd, _ ->
-        let admitted =
-          locked t (fun () ->
-              if t.active >= t.cfg.max_connections then begin
-                t.rejected <- t.rejected + 1;
-                false
-              end
-              else begin
-                t.accepted <- t.accepted + 1;
-                t.active <- t.active + 1;
-                true
-              end)
-        in
-        if not admitted then begin
-          (try Frame.write fd busy_doc with _ -> ());
-          try Unix.close fd with _ -> ()
-        end
-        else
-          (* Registered under the lock the handler takes to deregister, so
-             even a handler that exits at once finds its entry. *)
-          locked t (fun () ->
-              let cid = t.next_conn in
-              t.next_conn <- cid + 1;
-              let th = Thread.create (fun () -> handler t cid fd) () in
-              Hashtbl.replace t.conns cid (fd, th))
-    end
-  done
+          Relay reply
+        | Error (code, message) -> Err (code, message));
+    stats = (fun () -> stats_json t);
+    (* Graceful fleet drain: every shard finishes its in-flight work,
+       flushes its store and exits; then the router follows. *)
+    drain = (fun () -> drain_fleet t);
+    account =
+      (fun ~t0:_ -> function
+        | Listener.Err _ -> locked t (fun () -> t.errors <- t.errors + 1)
+        | _ -> ());
+  }
 
 (* Revive dead shards: a cheap ping over a link. Live shards are left
    alone — forwarding itself discovers failures faster than a poll
    would. *)
 let health_loop t =
   let ping_doc = control_doc "ping" in
-  while not (Atomic.get t.stop_flag) do
+  while not (Listener.stopping t.listener) do
     Array.iter
       (fun shard ->
         if not (locked t (fun () -> shard.s_alive)) then
@@ -470,12 +325,12 @@ let health_loop t =
             locked t (fun () -> shard.s_alive <- true);
             if t.cfg.verbose then
               Printf.eprintf "[router] shard %s back up\n%!"
-                (Server.addr_to_string shard.s_addr)
+                (Listener.addr_to_string shard.s_addr)
           | Error _ -> ())
       t.shards;
     (* Sleep in short slices so a stop request is honored promptly. *)
     let deadline = Pool.now_s () +. t.cfg.health_period_s in
-    while (not (Atomic.get t.stop_flag)) && Pool.now_s () < deadline do
+    while (not (Listener.stopping t.listener)) && Pool.now_s () < deadline do
       Thread.delay 0.02
     done
   done
@@ -484,15 +339,14 @@ let health_loop t =
 
 let start ?(config = default_config) ~shards address =
   if shards = [] then invalid_arg "Router.start: no shards";
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ());
-  let listen_fd =
-    Server.bind_listen ~backlog:(max 16 config.max_connections) address
+  let listener =
+    Listener.create ~max_connections:config.max_connections
+      ~max_frame:config.max_frame address
   in
   let t =
     {
       cfg = config;
-      address;
-      listen_fd;
+      listener;
       ring = Ring.create ~replicas:config.replicas (List.length shards);
       shards =
         Array.of_list
@@ -501,45 +355,20 @@ let start ?(config = default_config) ~shards address =
                { s_addr = a; s_alive = true; s_forwarded = 0; s_idle = [] })
              shards);
       m = Mutex.create ();
-      requests = 0;
       forwarded = 0;
       retried = 0;
       failovers = 0;
       errors = 0;
-      accepted = 0;
-      rejected = 0;
-      active = 0;
-      conns = Hashtbl.create 16;
-      next_conn = 0;
-      stop_flag = Atomic.make false;
-      stop_done = Atomic.make false;
-      accept_thread = None;
       health_thread = None;
     }
   in
-  t.accept_thread <- Some (Thread.create accept_loop t);
+  Listener.serve listener (handler t);
   t.health_thread <- Some (Thread.create health_loop t);
   t
 
 let stop t =
-  if not (Atomic.exchange t.stop_done true) then begin
-    Atomic.set t.stop_flag true;
-    (match t.accept_thread with Some th -> Thread.join th | None -> ());
+  if Listener.stop t.listener then begin
     (match t.health_thread with Some th -> Thread.join th | None -> ());
-    (try Unix.close t.listen_fd with _ -> ());
-    (match t.address with
-     | Server.Unix_sock path -> ( try Sys.remove path with _ -> ())
-     | Server.Tcp _ -> ());
-    (* Wake connections idle in [Frame.read]; in-flight forwards finish
-       and reply before their handlers exit. *)
-    let open_conns =
-      locked t (fun () -> List.of_seq (Hashtbl.to_seq_values t.conns))
-    in
-    List.iter
-      (fun (fd, _) -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ())
-      open_conns;
-    (* Handlers that already deregistered have nothing left to do. *)
-    List.iter (fun (_, th) -> Thread.join th) open_conns;
     (* Every exchange is over, and none can pool a link again: close the
        idle ones, which the shards see as a client hanging up. *)
     locked t (fun () ->
@@ -551,7 +380,5 @@ let stop t =
   end
 
 let wait t =
-  while not (Atomic.get t.stop_flag) do
-    Thread.delay 0.05
-  done;
+  Listener.await_stop t.listener;
   stop t

@@ -1,14 +1,11 @@
 (** The [sempe-sim serve] daemon: a long-running simulation service.
 
-    One accept thread plus one handler thread per connection; the
-    simulations themselves run on a {!Sempe_util.Pool} of worker domains,
-    so a connection is cheap and the expensive work is bounded by the
-    pool size. Each connection speaks the length-prefixed JSON protocol
-    of {!Frame}: a request is an object [{"id": .., "op": .., ...}] (the
-    operation fields of {!Api.request_of_json}, plus the control ops
-    [ping], [stats] and [shutdown]); the reply echoes ["id"] and carries
-    either [{"ok": true, "cached": .., "result": ..}] or
-    [{"ok": false, "error": {"code": .., "message": ..}}].
+    The daemon is a {!Listener.handler}: the {!Listener} owns the
+    sockets, one handler thread per connection, the framed JSON
+    envelope and the [ping]/[stats]/[shutdown] ops, and hands the daemon
+    each decoded workload request. The simulations themselves run on a
+    {!Sempe_util.Pool} of worker domains, so a connection is cheap and
+    the expensive work is bounded by the pool size.
 
     Two content-addressed caches back the service: response bytes keyed
     by {!Api.cache_key}, and sampling checkpoint plans keyed by
@@ -31,20 +28,7 @@
     down. Bind the unix socket in a directory with appropriate
     permissions; do not expose the TCP listener beyond the host. *)
 
-type addr = Unix_sock of string | Tcp of string * int
-
-val addr_of_string : string -> (addr, string) result
-(** [unix:PATH], [tcp:HOST:PORT], or a bare path (taken as a unix
-    socket). *)
-
-val addr_to_string : addr -> string
-
-val bind_listen : backlog:int -> addr -> Unix.file_descr
-(** Bind and listen on an address: a crash-leftover unix socket file is
-    replaced, a TCP listener gets [SO_REUSEADDR]. Shared with the
-    {!Router}, which fronts the same protocol on the same address
-    forms.
-    @raise Unix.Unix_error when the address cannot be bound. *)
+type addr = Listener.addr = Unix_sock of string | Tcp of string * int
 
 type config = {
   workers : int;  (** simulation pool size *)
@@ -76,8 +60,9 @@ val request_stop : t -> unit
 
 val stop : t -> unit
 (** Graceful shutdown: stop accepting, let in-flight requests finish and
-    reply, wake idle connections, join every thread, drain the pool and —
-    when configured with a [store_dir] — flush both caches to disk.
+    reply while every connection closes after its current reply, wake
+    idle connections, join every thread, drain the pool and — when
+    configured with a [store_dir] — flush both caches to disk.
     Idempotent. *)
 
 val wait : t -> unit
@@ -89,7 +74,5 @@ val stats_json : t -> Sempe_obs.Json.t
     totals, cache hits/misses/evictions and cost accounting for both
     caches, entries reloaded from the persistent store
     ([disk_loaded_results] / [disk_loaded_plans]), coalesced and executed
-    requests, connection counts ([handler_threads] is the number of
-    connection handlers retained, which is the number of open
-    connections: finished handlers are dropped as they exit) and request
-    latency percentiles. *)
+    requests, the listener's connection counts ({!Listener.counters})
+    and request latency percentiles. *)

@@ -92,6 +92,18 @@ let sim_table =
       [ "client"; "ping"; "-c"; "tcp:missing-port" ],
       124,
       Ignore_output );
+    (* An address that parses but cannot be reached or bound is a
+       runtime failure: exit 1, like a refused connection. *)
+    ( "client on an unresolvable host fails",
+      [ "client"; "ping"; "-c"; "tcp::1" ],
+      1,
+      Ignore_output );
+    ( "serve on an unbindable address fails",
+      [ "serve"; "--listen";
+        Filename.concat (Filename.get_temp_dir_name ())
+          (Printf.sprintf "sempe-missing-%d/x.sock" (Unix.getpid ())) ],
+      1,
+      Ignore_output );
     ( "loadgen rejects an unknown mix element",
       [ "loadgen"; "--mix"; "bogus" ],
       124,

@@ -3,15 +3,20 @@
    (round-trip, corruption tolerance, the server's reload-on-start
    path), and an in-process two-shard fleet behind a router — byte
    equality with the batch path, routing stability, retry/failover past
-   a refusing or killed shard, graceful fleet drain, and the router's
-   reused shard links (one per sequential client, a stale link after a
-   shard restart, at most one per concurrent client). *)
+   a refusing, unresolvable or killed shard, graceful fleet drain, a
+   stop that lets an in-flight forward reply, and the router's reused
+   shard links (one per sequential client, a stale link after a shard
+   restart, at most one per concurrent client). Last, the connection
+   layer both front ends share ({!Sempe_serve.Listener}), driven over
+   raw frames against a daemon and against a router. *)
 
 module Json = Sempe_obs.Json
 module Api = Sempe_serve.Api
 module Server = Sempe_serve.Server
 module Router = Sempe_serve.Router
 module Client = Sempe_serve.Client
+module Frame = Sempe_serve.Frame
+module Listener = Sempe_serve.Listener
 module Persist = Sempe_serve.Persist
 module Scheme = Sempe_core.Scheme
 module Ring = Router.Ring
@@ -283,21 +288,20 @@ let test_fleet_byte_equality_failover_drain () =
       Alcotest.(check bool) "drained shard socket removed" false
         (Sys.file_exists s1))
 
-let test_router_retries_refusing_shard () =
-  (* Shard 0 is an address nothing listens on: every request it owns
-     must be retried (with backoff) and then failed over to the live
-     shard — no client-visible failures. *)
-  let dead = sock_path "refuse-dead" and live = sock_path "refuse-live" in
-  let r = sock_path "refuse-r" in
-  List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ dead; live; r ];
+(* Shard 0 is an address no shard answers on: a unix path nothing
+   listens on (refused), or a TCP host name that does not resolve. Every
+   request it owns must be retried (with backoff) and then failed over to
+   the live shard — no client-visible failures — and the [stats] fan-out
+   still answers. *)
+let test_router_dead_shard name dead () =
+  let live = sock_path (name ^ "-live") and r = sock_path (name ^ "-r") in
+  List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ live; r ];
   let shard1 = Server.start (Server.Unix_sock live) in
   let config =
     { Router.default_config with Router.retries = 2; backoff_s = 0.005 }
   in
   let router =
-    Router.start ~config
-      ~shards:[ Server.Unix_sock dead; Server.Unix_sock live ]
-      (Server.Unix_sock r)
+    Router.start ~config ~shards:[ dead; Server.Unix_sock live ] (Server.Unix_sock r)
   in
   Fun.protect
     ~finally:(fun () ->
@@ -309,22 +313,25 @@ let test_router_retries_refusing_shard () =
     (fun () ->
       let req0 = request_owned_by 0 in
       with_conn (Server.Unix_sock r) (fun conn ->
-          Alcotest.(check string) "refused shard's request served elsewhere"
+          Alcotest.(check string) "dead shard's request served elsewhere"
             (Json.to_string (Api.perform req0))
             (Json.to_string (ok (Client.call conn req0)));
           let stats = ok (Client.stats conn) in
-          Alcotest.(check bool) "connection refusal was retried" true
+          Alcotest.(check bool) "the failed connect was retried" true
             (stat [ "retried" ] stats >= 1);
           Alcotest.(check bool) "then failed over" true
             (stat [ "failovers" ] stats >= 1);
           (* the dead shard is out of rotation; the fleet keeps serving *)
-          Alcotest.(check string) "fleet remains serviceable"
-            (Json.to_string (Api.perform req0))
-            (Json.to_string (ok (Client.call conn req0)))))
+          List.iter
+            (fun req ->
+              Alcotest.(check string) "fleet remains serviceable"
+                (Json.to_string (Api.perform req))
+                (Json.to_string (ok (Client.call conn req))))
+            [ req0; request_owned_by 1 ]))
 
 (* A fresh in-process fleet of two shards behind a router, torn down
    after [f]; [restart_shard0] stops shard 0 and starts a new one at the
-   same path. *)
+   same path. [f] may stop the router itself. *)
 let with_fleet name f =
   let s0 = sock_path (name ^ "-s0") and s1 = sock_path (name ^ "-s1") in
   let r = sock_path (name ^ "-r") in
@@ -344,13 +351,14 @@ let with_fleet name f =
       Server.stop !shard0;
       Server.stop shard1;
       List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ s0; s1; r ])
-    (fun () -> f ~shards:(fun () -> [ !shard0; shard1 ]) ~restart_shard0 (Server.Unix_sock r))
+    (fun () ->
+      f ~router ~shards:(fun () -> [ !shard0; shard1 ]) ~restart_shard0 (Server.Unix_sock r))
 
 (* The router reaps its finished client handlers, and reaches each shard
    over one link however many client connections come and go: 1,000
    sequential routed requests, each on its own client connection. *)
 let test_fleet_reaps_handlers () =
-  with_fleet "reap" (fun ~shards ~restart_shard0:_ r ->
+  with_fleet "reap" (fun ~router:_ ~shards ~restart_shard0:_ r ->
       let reqs = [| request_owned_by 0; request_owned_by 1 |] in
       for i = 1 to 1_000 do
         with_conn r (fun conn -> ignore (ok (Client.call conn reqs.(i land 1))))
@@ -379,7 +387,7 @@ let test_fleet_reaps_handlers () =
    stale idle link. The next request through it must still be served by
    that shard, on one fresh connection, without counting a retry. *)
 let test_router_stale_link () =
-  with_fleet "stale" (fun ~shards ~restart_shard0 r ->
+  with_fleet "stale" (fun ~router:_ ~shards ~restart_shard0 r ->
       let req0 = request_owned_by 0 in
       with_conn r (fun conn ->
           ignore (ok (Client.call conn req0));
@@ -397,7 +405,7 @@ let test_router_stale_link () =
    each shard at most K of the router's connections, not one per
    request. *)
 let test_router_link_bound () =
-  with_fleet "bound" (fun ~shards ~restart_shard0:_ r ->
+  with_fleet "bound" (fun ~router:_ ~shards ~restart_shard0:_ r ->
       let k = 4 and per_client = 25 in
       let reqs = [| request_owned_by 0; request_owned_by 1 |] in
       let want = Array.map (fun req -> Json.to_string (Api.perform req)) reqs in
@@ -422,6 +430,192 @@ let test_router_link_bound () =
             (accepted >= 1 && accepted <= k))
         (shards ()))
 
+(* A request that runs for about 0.7 s, well past the accept loop's
+   0.2 s poll that stop waits out, and the shard of a two-shard fleet
+   that owns it. *)
+let slow_request =
+  Api.Simulate
+    {
+      scheme = Scheme.Sempe;
+      workload = Api.Microbench { kernel = "quicksort"; width = 10; iters = 30; leaf = 1 };
+      strict_oob = false;
+    }
+
+let slow_owner = Ring.assign (Ring.create 2) (Api.route_key slow_request)
+
+(* Send [slow_request] through the router at [r] from its own thread and
+   return once its shard is running it; the returned function waits for
+   the reply and checks it against the batch bytes. *)
+let send_slow ~shards r =
+  let reply = ref None in
+  let client =
+    Thread.create
+      (fun () -> with_conn r (fun conn -> reply := Some (Client.call conn slow_request)))
+      ()
+  in
+  let in_flight () = stat [ "in_flight" ] (Server.stats_json (List.nth (shards ()) slow_owner)) in
+  Alcotest.(check int) "a shard is running the request" 1 (Test_serve.settle ~want:1 in_flight);
+  fun () ->
+    Thread.join client;
+    match !reply with
+    | Some (Ok doc) ->
+      Alcotest.(check string) "reply across stop = batch bytes"
+        (Json.to_string (Api.perform slow_request)) (Json.to_string doc)
+    | Some (Error { Client.code; message }) -> Alcotest.failf "%s: %s" code message
+    | None -> Alcotest.fail "no reply"
+
+(* Router.stop lets a forward already in flight finish: the client gets
+   the shard's reply, not a closed connection. *)
+let test_router_stop_drains () =
+  with_fleet "stop-drain" (fun ~router ~shards ~restart_shard0:_ r ->
+      let finish = send_slow ~shards r in
+      Router.stop router;
+      finish ())
+
+(* The drain covers only requests already being answered: a client
+   sending back to back through the router (to the other shard) while
+   stop waits for a slow forward gets at most the reply in hand and the
+   one it had sent, then finds its connection closed. Every reply it got
+   equals the batch bytes, and stop returns once the slow forward has
+   replied. *)
+let test_router_stop_busy_client () =
+  with_fleet "stop-busy" (fun ~router ~shards ~restart_shard0:_ r ->
+      let req = request_owned_by (1 - slow_owner) in
+      let want = Json.to_string (Api.perform req) in
+      let replies = Atomic.make 0 and late = Atomic.make 0 and wrong = Atomic.make 0 in
+      let stop_requested = Atomic.make false in
+      let client =
+        Thread.create
+          (fun () ->
+            with_conn r (fun conn ->
+                (* Give up after 15 s, so a stop that never closes the
+                   connection fails below instead of hanging. *)
+                let deadline = Unix.gettimeofday () +. 15. in
+                let rec go () =
+                  if Unix.gettimeofday () < deadline then
+                    match Client.call conn req with
+                    | Ok doc ->
+                      if Json.to_string doc <> want then Atomic.incr wrong;
+                      if Atomic.get stop_requested then Atomic.incr late;
+                      Atomic.incr replies;
+                      go ()
+                    | Error _ -> ()
+                in
+                go ()))
+          ()
+      in
+      Alcotest.(check bool) "the client is sending" true
+        (Test_serve.settle ~want:true (fun () -> Atomic.get replies >= 20));
+      let finish = send_slow ~shards r in
+      let t0 = Unix.gettimeofday () in
+      Router.request_stop router;
+      Atomic.set stop_requested true;
+      Router.stop router;
+      let took = Unix.gettimeofday () -. t0 in
+      finish ();
+      Thread.join client;
+      Alcotest.(check bool) (Printf.sprintf "stop returned in %.2f s" took) true (took < 5.);
+      Alcotest.(check bool)
+        (Printf.sprintf "%d replies after stop" (Atomic.get late))
+        true
+        (Atomic.get late <= 2);
+      Alcotest.(check int) "every reply = batch bytes" 0 (Atomic.get wrong))
+
+(* ---- the shared connection layer, against both front ends -------------- *)
+
+(* [start ~max_connections name f] runs [f addr] against a fresh front
+   end at [addr]: a daemon, or a router over one daemon. *)
+let front_ends =
+  [
+    ( "daemon",
+      fun ~max_connections name f ->
+        let path = sock_path name in
+        let s =
+          Server.start ~config:{ Server.default_config with Server.max_connections }
+            (Server.Unix_sock path)
+        in
+        Fun.protect ~finally:(fun () -> Server.stop s) (fun () -> f (Server.Unix_sock path)) );
+    ( "router",
+      fun ~max_connections name f ->
+        let shard = sock_path (name ^ "-shard") and path = sock_path name in
+        let s = Server.start (Server.Unix_sock shard) in
+        let r =
+          Router.start ~config:{ Router.default_config with Router.max_connections }
+            ~shards:[ Server.Unix_sock shard ] (Server.Unix_sock path)
+        in
+        Fun.protect
+          ~finally:(fun () ->
+            Router.stop r;
+            Server.stop s)
+          (fun () -> f (Server.Unix_sock path)) );
+  ]
+
+let with_raw addr f =
+  let fd = Listener.dial addr in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ()) (fun () -> f fd)
+
+let read_doc fd =
+  match Frame.read fd with
+  | Some payload -> Json.of_string payload
+  | None -> Alcotest.fail "hung up instead of replying"
+
+let error_code doc =
+  match Option.bind (Json.member "error" doc) (Json.member "code") with
+  | Some (Json.Str code) -> code
+  | _ -> "(no error code)"
+
+let expect_eof fd = Alcotest.(check bool) "then EOF" true (Frame.read fd = None)
+
+let listener_cases =
+  [
+    ( "busy past max_connections",
+      fun addr ->
+        with_conn addr (fun conn ->
+            ok (Client.ping conn);
+            with_raw addr (fun fd ->
+                Alcotest.(check string) "second connection" "busy" (error_code (read_doc fd));
+                expect_eof fd);
+            Alcotest.(check int) "stats counts it" 1
+              (stat [ "connections"; "rejected" ] (ok (Client.stats conn)))) );
+    ( "oversize frame gets bad-frame",
+      fun addr ->
+        with_raw addr (fun fd ->
+            let header = Bytes.create 4 in
+            Bytes.set_int32_be header 0 (Int32.of_int (Frame.max_len_default + 1));
+            ignore (Unix.write fd header 0 4);
+            Alcotest.(check string) "declared length over max_frame" "bad-frame"
+              (error_code (read_doc fd));
+            expect_eof fd) );
+    ( "malformed requests keep the connection",
+      fun addr ->
+        with_raw addr (fun fd ->
+            Frame.write fd "{\"op\": ";
+            Alcotest.(check string) "broken JSON" "bad-json" (error_code (read_doc fd));
+            Frame.write fd "[1, 2]";
+            Alcotest.(check string) "not an object" "bad-request" (error_code (read_doc fd));
+            Frame.write fd "{\"op\": \"ping\"}";
+            Alcotest.(check bool) "still serving" true
+              (Json.member "result" (read_doc fd) = Some (Json.Str "pong"))) );
+    ( "ping echoes the id",
+      fun addr ->
+        with_raw addr (fun fd ->
+            Frame.write fd "{\"id\": 42, \"op\": \"ping\"}";
+            let doc = read_doc fd in
+            Alcotest.(check bool) "id" true (Json.member "id" doc = Some (Json.Int 42));
+            Alcotest.(check bool) "pong" true
+              (Json.member "result" doc = Some (Json.Str "pong"))) );
+  ]
+
+let listener_tests =
+  List.concat_map
+    (fun (front, start) ->
+      List.mapi
+        (fun i (name, case) ->
+          Alcotest.test_case (Printf.sprintf "listener: %s (%s)" name front) `Quick (fun () ->
+              start ~max_connections:1 (Printf.sprintf "front-%s-%d" front i) case))
+        listener_cases)
+    front_ends
+
 let tests =
   [
     Alcotest.test_case "ring: deterministic assignment" `Quick
@@ -437,11 +631,18 @@ let tests =
     Alcotest.test_case "fleet: bytes, failover, drain" `Slow
       test_fleet_byte_equality_failover_drain;
     Alcotest.test_case "fleet: refusing shard retried" `Quick
-      test_router_retries_refusing_shard;
+      (test_router_dead_shard "refuse" (Server.Unix_sock (sock_path "refuse-dead")));
     Alcotest.test_case "fleet: finished handlers reaped" `Quick
       test_fleet_reaps_handlers;
     Alcotest.test_case "fleet: stale link reconnects" `Quick
       test_router_stale_link;
     Alcotest.test_case "fleet: links bounded by concurrency" `Quick
       test_router_link_bound;
+    Alcotest.test_case "fleet: unresolvable shard fails over" `Quick
+      (test_router_dead_shard "unresolvable" (Server.Tcp ("", 1)));
+    Alcotest.test_case "fleet: stop lets a forward reply" `Quick
+      test_router_stop_drains;
+    Alcotest.test_case "fleet: stop ends a busy client's stream" `Quick
+      test_router_stop_busy_client;
   ]
+  @ listener_tests

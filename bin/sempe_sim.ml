@@ -9,14 +9,10 @@ module Run = Sempe_core.Run
 module Timing = Sempe_pipeline.Timing
 module Config = Sempe_pipeline.Config
 module Harness = Sempe_workloads.Harness
-module MB = Sempe_workloads.Microbench
 module Kernels = Sempe_workloads.Kernels
-module Djpeg = Sempe_workloads.Djpeg
-module Rsa = Sempe_workloads.Rsa
 module Tablefmt = Sempe_util.Tablefmt
 module Json = Sempe_obs.Json
 module Report = Sempe_obs.Report
-module Profile = Sempe_obs.Profile
 module Sink = Sempe_obs.Sink
 module Sampling = Sempe_sampling.Sampling
 module Pool = Sempe_util.Pool
@@ -94,26 +90,27 @@ let with_progress progress f =
   if progress then print_sweep_telemetry ();
   r
 
-let print_report (r : Timing.report) =
-  Tablefmt.print ~header:[ "metric"; "value" ]
-    [
-      [ "instructions"; string_of_int r.Timing.instructions ];
-      [ "cycles"; string_of_int r.Timing.cycles ];
-      [ "CPI"; Tablefmt.fixed 3 r.Timing.cpi ];
-      [ "time @2GHz"; Printf.sprintf "%.1f us" (Run.seconds Config.default r.Timing.cycles *. 1e6) ];
-      [ "cond. branches"; string_of_int r.Timing.cond_branches ];
-      [ "mispredicts"; string_of_int r.Timing.mispredicts ];
-      [ "secure branches (sJMP)"; string_of_int r.Timing.secure_branches ];
-      [ "pipeline drains"; string_of_int r.Timing.drains ];
-      [ "SPM transfer cycles"; string_of_int r.Timing.spm_cycles ];
-      [ "loads / stores";
-        Printf.sprintf "%d / %d" r.Timing.loads r.Timing.stores ];
-      [ "IL1 miss rate"; Tablefmt.percent r.Timing.il1_miss_rate ];
-      [ "DL1 miss rate"; Tablefmt.percent r.Timing.dl1_miss_rate ];
-      [ "L2 miss rate"; Tablefmt.percent r.Timing.l2_miss_rate ];
-    ]
-
 let print_json j = print_endline (Json.to_string j)
+
+(* ---- the workload subcommands: one Api request, one Api.run, one
+   renderer ---- *)
+
+(* The range check the daemon applies to the same request: a value out
+   of range is a usage error, exit 124 like a malformed flag. *)
+let check request =
+  match Api.check request with
+  | Ok () -> ()
+  | Error msg ->
+    prerr_endline msg;
+    exit 124
+
+let print_outcome json outcome =
+  if json then print_json (Api.to_json outcome)
+  else print_string (Api.to_text outcome)
+
+let run_request json request =
+  check request;
+  print_outcome json (Api.run request)
 
 (* ---- sampled-simulation options shared by the workload commands ---- *)
 
@@ -152,31 +149,6 @@ let warmup_arg =
     & info [ "warmup" ] ~docv:"N"
         ~doc:"Detailed warmup instructions before each measured interval.")
 
-let sample_config ~interval ~coverage ~warmup =
-  { Sampling.default_config with Sampling.interval; coverage; warmup }
-
-let print_estimate (e : Sampling.estimate) =
-  Tablefmt.print ~header:[ "metric"; "value" ]
-    [
-      [ "instructions"; string_of_int e.Sampling.instructions ];
-      [ "cycles (estimate)"; string_of_int e.Sampling.cycles_estimate ];
-      [ "90% band";
-        Printf.sprintf "[%d, %d]" e.Sampling.cycles_low e.Sampling.cycles_high ];
-      [ "CPI"; Tablefmt.fixed 3 e.Sampling.cpi ];
-      [ "intervals measured";
-        Printf.sprintf "%d / %d" e.Sampling.intervals_measured
-          e.Sampling.intervals_total ];
-      [ "instructions measured";
-        Printf.sprintf "%d (%.1f%%)" e.Sampling.measured_instructions
-          (100.
-          *. float_of_int e.Sampling.measured_instructions
-          /. float_of_int (max 1 e.Sampling.instructions)) ];
-      [ "exact"; (if e.Sampling.exact then "yes (full coverage)" else "no") ];
-      [ "checkpoint volume";
-        Printf.sprintf "%.1f KiB"
-          (float_of_int e.Sampling.checkpoint_bytes /. 1024.) ];
-    ]
-
 (* ---- config ---- *)
 
 let config_cmd =
@@ -187,76 +159,28 @@ let config_cmd =
   Cmd.v (Cmd.info "config" ~doc:"Print the Table II machine model.")
     Term.(const run $ const ())
 
-(* ---- microbench ---- *)
+(* ---- microbench / djpeg / rsa ---- *)
 
-let kernel_conv =
-  let parse s =
-    match Kernels.by_name s with
-    | Some k -> Ok k
-    | None ->
-      Error
-        (`Msg
-           (Printf.sprintf "unknown kernel %S (expected: %s)" s
-              (String.concat ", "
-                 (List.map (fun k -> k.Kernels.name) Kernels.all))))
+(* A full or, with --sample, sampled simulation of the workload the
+   command's own flags describe. *)
+let simulation_cmd name ~doc workload =
+  let request scheme workload strict sample interval coverage warmup =
+    if sample then
+      Api.Sample
+        { scheme; workload; strict_oob = strict;
+          params = { Api.interval; coverage; warmup } }
+    else Api.Simulate { scheme; workload; strict_oob = strict }
   in
-  Arg.conv (parse, fun fmt k -> Format.pp_print_string fmt k.Kernels.name)
-
-let ct_of_scheme = function
-  | Scheme.Cte | Scheme.Raccoon | Scheme.Mto -> true
-  | Scheme.Baseline | Scheme.Sempe | Scheme.Sempe_on_legacy -> false
+  Cmd.v (Cmd.info name ~doc)
+    Term.(
+      const run_request $ json_arg
+      $ (const request $ scheme_arg $ workload $ strict_oob_arg $ sample_flag
+        $ interval_arg $ coverage_arg $ warmup_arg))
 
 let microbench_cmd =
-  let run scheme kernel width iters leaf strict sample interval coverage warmup
-      json =
-    (* The JSON branches go through the serving API so the daemon's
-       responses are byte-identical to this CLI by construction. *)
-    if json then
-      let workload =
-        Api.Microbench { kernel = kernel.Kernels.name; width; iters; leaf }
-      in
-      print_json
-        (Api.perform
-           (if sample then
-              Api.Sample
-                { scheme; workload; strict_oob = strict;
-                  params = { Api.interval; coverage; warmup } }
-            else Api.Simulate { scheme; workload; strict_oob = strict }))
-    else
-    let spec = { MB.kernel; width; iters } in
-    let src = MB.program ~ct:(ct_of_scheme scheme) spec in
-    let secrets = MB.secrets_for_leaf ~width ~leaf in
-    let built = Harness.build scheme src in
-    let forgiving_oob = not strict in
-    if sample then begin
-      let config = sample_config ~interval ~coverage ~warmup in
-      let est = Harness.sample ~forgiving_oob ~globals:secrets ~config built in
-      begin
-        Printf.printf
-          "microbenchmark %s, W=%d, iters=%d, scheme=%s, true leaf=%d (sampled)\n\n"
-          kernel.Kernels.name width iters (Scheme.name scheme) leaf;
-        print_estimate est
-      end
-    end
-    else begin
-      let outcome = Harness.run ~forgiving_oob ~globals:secrets built in
-      let base =
-        Harness.run ~forgiving_oob ~globals:secrets
-          (Harness.build Scheme.Baseline (MB.program ~ct:false spec))
-      in
-      let slowdown = Run.overhead ~baseline:base outcome in
-      begin
-        Printf.printf "microbenchmark %s, W=%d, iters=%d, scheme=%s, true leaf=%d\n"
-          kernel.Kernels.name width iters (Scheme.name scheme) leaf;
-        Printf.printf "checksum = %d\n\n" (Harness.return_value outcome);
-        print_report outcome.Run.timing;
-        Printf.printf "\nslowdown vs baseline: %s\n" (Tablefmt.times slowdown)
-      end
-    end
-  in
   let kernel =
     Arg.(
-      value & opt kernel_conv Kernels.fibonacci
+      value & opt string Kernels.fibonacci.Kernels.name
       & info [ "kernel"; "k" ] ~docv:"KERNEL" ~doc:"Workload kernel.")
   in
   let width =
@@ -268,56 +192,13 @@ let microbench_cmd =
   let leaf =
     Arg.(value & opt int 1 & info [ "leaf" ] ~docv:"N" ~doc:"True leaf (1..W+1).")
   in
-  Cmd.v
-    (Cmd.info "microbench" ~doc:"Run the Figure 7 nested-chain microbenchmark.")
-    Term.(
-      const run $ scheme_arg $ kernel $ width $ iters $ leaf $ strict_oob_arg
-      $ sample_flag $ interval_arg $ coverage_arg $ warmup_arg $ json_arg)
-
-(* ---- djpeg ---- *)
-
-let djpeg_format = function
-  | "PPM" -> Djpeg.Ppm
-  | "GIF" -> Djpeg.Gif
-  | "BMP" -> Djpeg.Bmp
-  | other -> failwith (Printf.sprintf "unknown format %S" other)
+  let workload kernel width iters leaf =
+    Api.Microbench { kernel; width; iters; leaf }
+  in
+  simulation_cmd "microbench" ~doc:"Run the Figure 7 nested-chain microbenchmark."
+    Term.(const workload $ kernel $ width $ iters $ leaf)
 
 let djpeg_cmd =
-  let run scheme fmt_name blocks seed strict sample interval coverage warmup
-      json =
-    let fmt = djpeg_format (String.uppercase_ascii fmt_name) in
-    if json then
-      let workload =
-        Api.Djpeg { format = Djpeg.format_name fmt; blocks; seed }
-      in
-      print_json
-        (Api.perform
-           (if sample then
-              Api.Sample
-                { scheme; workload; strict_oob = strict;
-                  params = { Api.interval; coverage; warmup } }
-            else Api.Simulate { scheme; workload; strict_oob = strict }))
-    else
-    let built = Harness.build scheme (Djpeg.program fmt) in
-    let globals, arrays = Djpeg.inputs fmt ~seed ~blocks in
-    let forgiving_oob = not strict in
-    if sample then begin
-      let config = sample_config ~interval ~coverage ~warmup in
-      let est =
-        Harness.sample ~forgiving_oob ~globals ~arrays ~config built
-      in
-      Printf.printf "djpeg -> %s, %d blocks, scheme=%s, image seed=%d (sampled)\n\n"
-        (Djpeg.format_name fmt) blocks (Scheme.name scheme) seed;
-      print_estimate est
-    end
-    else begin
-      let outcome = Harness.run ~forgiving_oob ~globals ~arrays built in
-      Printf.printf "djpeg -> %s, %d blocks, scheme=%s, image seed=%d\n"
-        (Djpeg.format_name fmt) blocks (Scheme.name scheme) seed;
-      Printf.printf "checksum = %d\n\n" (Harness.return_value outcome);
-      print_report outcome.Run.timing
-    end
-  in
   let fmt =
     Arg.(value & opt string "PPM" & info [ "format"; "f" ] ~docv:"FMT" ~doc:"PPM, GIF or BMP.")
   in
@@ -327,90 +208,24 @@ let djpeg_cmd =
   let seed =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Secret image seed.")
   in
-  Cmd.v (Cmd.info "djpeg" ~doc:"Run the synthetic djpeg decoder.")
-    Term.(
-      const run $ scheme_arg $ fmt $ blocks $ seed $ strict_oob_arg
-      $ sample_flag $ interval_arg $ coverage_arg $ warmup_arg $ json_arg)
-
-(* ---- rsa ---- *)
+  let workload format blocks seed =
+    Api.Djpeg { format = String.uppercase_ascii format; blocks; seed }
+  in
+  simulation_cmd "djpeg" ~doc:"Run the synthetic djpeg decoder."
+    Term.(const workload $ fmt $ blocks $ seed)
 
 let rsa_cmd =
-  let run scheme key strict sample interval coverage warmup json =
-    if json then
-      let workload = Api.Rsa { key } in
-      print_json
-        (Api.perform
-           (if sample then
-              Api.Sample
-                { scheme; workload; strict_oob = strict;
-                  params = { Api.interval; coverage; warmup } }
-            else Api.Simulate { scheme; workload; strict_oob = strict }))
-    else
-    let built = Harness.build scheme Rsa.program in
-    let globals, arrays = Rsa.inputs ~key ~base:1234 ~modulus:99991 in
-    let forgiving_oob = not strict in
-    if sample then begin
-      let config = sample_config ~interval ~coverage ~warmup in
-      let est =
-        Harness.sample ~forgiving_oob ~globals ~arrays ~config built
-      in
-      Printf.printf "modexp (Figure 1), key=0x%04x, scheme=%s (sampled)\n\n"
-        key (Scheme.name scheme);
-      print_estimate est
-    end
-    else begin
-      let outcome = Harness.run ~forgiving_oob ~globals ~arrays built in
-      let expected = Rsa.reference ~key ~base:1234 ~modulus:99991 in
-      Printf.printf "modexp (Figure 1), key=0x%04x, scheme=%s\n" key
-        (Scheme.name scheme);
-      Printf.printf "result = %d (expected %d)\n\n"
-        (Harness.return_value outcome) expected;
-      print_report outcome.Run.timing
-    end
-  in
   let key =
     Arg.(value & opt int 0x1234 & info [ "key" ] ~docv:"KEY" ~doc:"Secret exponent.")
   in
-  Cmd.v (Cmd.info "rsa" ~doc:"Run RSA modular exponentiation (Figure 1).")
-    Term.(
-      const run $ scheme_arg $ key $ strict_oob_arg $ sample_flag
-      $ interval_arg $ coverage_arg $ warmup_arg $ json_arg)
+  simulation_cmd "rsa" ~doc:"Run RSA modular exponentiation (Figure 1)."
+    Term.(const (fun key -> Api.Rsa { key }) $ key)
 
-(* ---- profile / trace: shared workload selector ---- *)
+(* ---- sample / profile / trace / disasm / client: one workload selector ---- *)
 
-(* [rsa], [djpeg], or a microbenchmark kernel name; each returns the
-   source program, its initial state, and a one-line description. *)
-let workload scheme which ~width ~iters ~leaf ~blocks ~seed ~key =
-  match String.lowercase_ascii which with
-  | "rsa" ->
-    let globals, arrays = Rsa.inputs ~key ~base:1234 ~modulus:99991 in
-    (Rsa.program, globals, arrays, Printf.sprintf "rsa key=0x%04x" key)
-  | "djpeg" ->
-    let fmt = Djpeg.Ppm in
-    let globals, arrays = Djpeg.inputs fmt ~seed ~blocks in
-    ( Djpeg.program fmt,
-      globals,
-      arrays,
-      Printf.sprintf "djpeg PPM blocks=%d seed=%d" blocks seed )
-  | other -> (
-    match Kernels.by_name other with
-    | Some kernel ->
-      let spec = { MB.kernel; width; iters } in
-      ( MB.program ~ct:(ct_of_scheme scheme) spec,
-        MB.secrets_for_leaf ~width ~leaf,
-        [],
-        Printf.sprintf "%s W=%d iters=%d leaf=%d" kernel.Kernels.name width
-          iters leaf )
-    | None ->
-      Printf.eprintf "unknown workload %S (rsa, djpeg, or a kernel: %s)\n"
-        other
-        (String.concat ", " (List.map (fun k -> k.Kernels.name) Kernels.all));
-      exit 1)
-
-(* The serving-API mirror of [workload]: the same selector semantics,
-   producing an {!Api.workload} value (the profile/djpeg selector is
-   always PPM, like [workload]). *)
-let api_workload which ~width ~iters ~leaf ~blocks ~seed ~key =
+(* [rsa], [djpeg] (always PPM), or a microbenchmark kernel name; an
+   unknown name exits 1. *)
+let select_workload which ~width ~iters ~leaf ~blocks ~seed ~key =
   match String.lowercase_ascii which with
   | "rsa" -> Api.Rsa { key }
   | "djpeg" -> Api.Djpeg { format = "PPM"; blocks; seed }
@@ -447,78 +262,54 @@ let seed_arg =
 let key_arg =
   Arg.(value & opt int 0x1234 & info [ "key" ] ~docv:"KEY" ~doc:"Secret exponent (rsa).")
 
+(* The positional WORKLOAD and its parameter flags, selected. *)
+let workload_term =
+  let select which width iters leaf blocks seed key =
+    select_workload which ~width ~iters ~leaf ~blocks ~seed ~key
+  in
+  Term.(
+    const select $ workload_arg $ width_arg $ iters_arg $ leaf_arg $ blocks_arg
+    $ seed_arg $ key_arg)
+
 (* ---- sample ---- *)
 
 let sample_cmd =
-  let run scheme which width iters leaf blocks seed key interval coverage
-      warmup jobs strict compare json =
-    let src, globals, arrays, desc =
-      workload scheme which ~width ~iters ~leaf ~blocks ~seed ~key
+  let run scheme workload interval coverage warmup jobs strict compare json =
+    let request =
+      Api.Sample
+        { scheme; workload; strict_oob = strict;
+          params = { Api.interval; coverage; warmup } }
     in
-    let built = Harness.build scheme src in
-    let forgiving_oob = not strict in
-    let config = sample_config ~interval ~coverage ~warmup in
-    let workers = if jobs <= 0 then None else Some jobs in
+    check request;
+    let timed f =
+      let t0 = Pool.now_s () in
+      let r = f () in
+      (r, Pool.now_s () -. t0)
+    in
     (* --compare-full: also run the ordinary detailed simulation so the
-       estimate's error and the wall-clock speedup can be read off
-       directly (this is the acceptance check for the sampler). The
-       reference runs first: the first simulation in a process pays the
-       GC-heap growth for both, and the reference is the baseline the
-       sampled time is judged against. *)
+       estimate's error can be read off directly (this is the acceptance
+       check for the sampler). The reference runs first: the first
+       simulation in a process pays the GC-heap growth for both, and the
+       reference is the baseline the sampled time is judged against. *)
     let reference =
-      if not compare then None
-      else begin
-        let t1 = Pool.now_s () in
-        let outcome = Harness.run ~forgiving_oob ~globals ~arrays built in
-        Some (Run.cycles outcome, Pool.now_s () -. t1)
-      end
+      if compare then
+        Some (timed (fun () -> Api.full_cycles scheme workload ~strict_oob:strict))
+      else None
     in
-    let t0 = Pool.now_s () in
-    let est =
-      Harness.sample ~forgiving_oob ~globals ~arrays ~config ?workers built
-    in
-    let sampled_s = Pool.now_s () -. t0 in
-    if json then
-      print_json
-        (Json.Obj
-           ([
-              ("workload", Json.Str desc);
-              ("scheme", Json.Str (Scheme.name scheme));
-              ("sampled_s", Json.Float sampled_s);
-              ("sampling", Sampling.to_json est);
-            ]
-           @
-           match reference with
-           | None -> []
-           | Some (full, full_s) ->
-             [
-               ("full_cycles", Json.Int full);
-               ("full_s", Json.Float full_s);
-               ("error", Json.Float (Sampling.relative_error est ~cycles:full));
-               ("in_bound", Json.Bool (Sampling.contains est ~cycles:full));
-               ("speedup",
-                Json.Float (if sampled_s > 0. then full_s /. sampled_s else 0.));
-             ]))
-    else begin
-      Printf.printf "sampled simulation: %s, scheme=%s\n" desc
-        (Scheme.name scheme);
-      Printf.printf
-        "interval=%d instrs, coverage=%s, warmup=%d instrs (%.2fs wall)\n\n"
-        interval
-        (Tablefmt.percent coverage)
-        warmup sampled_s;
-      print_estimate est;
-      match reference with
-      | None -> ()
-      | Some (full, full_s) ->
-        Printf.printf
-          "\nfull run: %d cycles in %.2fs -> error %s (%s the 90%% band), \
-           speedup %s\n"
-          full full_s
-          (Tablefmt.percent (Sampling.relative_error est ~cycles:full))
-          (if Sampling.contains est ~cycles:full then "inside" else "OUTSIDE")
-          (Tablefmt.times (if sampled_s > 0. then full_s /. sampled_s else 0.))
-    end
+    let workers = if jobs <= 0 then None else Some jobs in
+    let outcome, sampled_s = timed (fun () -> Api.run ?workers request) in
+    (* wall clock goes to stderr: stdout stays byte-identical at any -j *)
+    Printf.eprintf "[sample] %.2fs wall%s\n%!" sampled_s
+      (match reference with
+       | None -> ""
+       | Some (_, full_s) ->
+         Printf.sprintf ", full run %.2fs, speedup %s" full_s
+           (Tablefmt.times (if sampled_s > 0. then full_s /. sampled_s else 0.)));
+    print_outcome json
+      (match (outcome, reference) with
+       | Api.Sampled s, Some (full, _) ->
+         Api.Sampled { s with full_cycles = Some full }
+       | outcome, _ -> outcome)
   in
   let compare_arg =
     Arg.(
@@ -526,7 +317,8 @@ let sample_cmd =
       & info [ "compare-full" ]
           ~doc:
             "Also run the full detailed simulation and report the \
-             estimate's relative error and the wall-clock speedup.")
+             estimate's relative error (and, on stderr, the wall-clock \
+             speedup).")
   in
   Cmd.v
     (Cmd.info "sample"
@@ -538,48 +330,14 @@ let sample_cmd =
           with a confidence band. Performance only: leakage/security \
           analyses need full runs.")
     Term.(
-      const run $ scheme_arg $ workload_arg $ width_arg $ iters_arg $ leaf_arg
-      $ blocks_arg $ seed_arg $ key_arg $ interval_arg $ coverage_arg
+      const run $ scheme_arg $ workload_term $ interval_arg $ coverage_arg
       $ warmup_arg $ jobs_arg $ strict_oob_arg $ compare_arg $ json_arg)
 
 (* ---- profile ---- *)
 
 let profile_cmd =
-  let run scheme which width iters leaf blocks seed key top json =
-    if json then
-      print_json
-        (Api.perform
-           (Api.Profile
-              {
-                scheme;
-                workload =
-                  api_workload which ~width ~iters ~leaf ~blocks ~seed ~key;
-                top;
-              }))
-    else
-    let src, globals, arrays, desc =
-      workload scheme which ~width ~iters ~leaf ~blocks ~seed ~key
-    in
-    let built = Harness.build scheme src in
-    let profile = Profile.create () in
-    let sink = Sink.of_probe (Profile.probe profile) in
-    let outcome = Harness.run ~globals ~arrays ~sink built in
-    sink.Sink.close ();
-    let report = outcome.Run.timing in
-    begin
-      Printf.printf "profile: %s, scheme=%s\n\n" desc (Scheme.name scheme);
-      print_report report;
-      print_newline ();
-      print_string (Report.render_stall_stack report);
-      print_newline ();
-      let code = built.Harness.prog.Sempe_isa.Program.code in
-      let resolve pc =
-        if pc >= 0 && pc < Array.length code then
-          Sempe_isa.Instr.to_string code.(pc)
-        else "?"
-      in
-      print_string (Profile.render ~n:top ~resolve profile)
-    end
+  let run scheme workload top json =
+    run_request json (Api.Profile { scheme; workload; top })
   in
   let top =
     Arg.(
@@ -592,18 +350,14 @@ let profile_cmd =
          "Run a workload with the per-PC profiler attached: CPI stall \
           stack, top mispredicting branches, top DL1-missing loads, and \
           per-sJMP drain costs.")
-    Term.(
-      const run $ scheme_arg $ workload_arg $ width_arg $ iters_arg
-      $ leaf_arg $ blocks_arg $ seed_arg $ key_arg $ top $ json_arg)
+    Term.(const run $ scheme_arg $ workload_term $ top $ json_arg)
 
 (* ---- trace ---- *)
 
 let trace_cmd =
-  let run scheme which width iters leaf blocks seed key out jsonl =
-    let src, globals, arrays, desc =
-      workload scheme which ~width ~iters ~leaf ~blocks ~seed ~key
-    in
-    let built = Harness.build scheme src in
+  let run scheme workload out jsonl =
+    check (Api.Simulate { scheme; workload; strict_oob = false });
+    let built, globals, arrays = Api.setup scheme workload in
     let oc = open_out out in
     let sink = if jsonl then Sink.jsonl oc else Sink.perfetto oc in
     let outcome =
@@ -614,7 +368,8 @@ let trace_cmd =
         (fun () -> Harness.run ~globals ~arrays ~sink built)
     in
     let r = outcome.Run.timing in
-    Printf.printf "trace: %s, scheme=%s\n" desc (Scheme.name scheme);
+    Printf.printf "trace: %s, scheme=%s\n" (Api.describe workload)
+      (Scheme.name scheme);
     Printf.printf "wrote %s (%d instructions, %d cycles)\n" out
       r.Timing.instructions r.Timing.cycles;
     if not jsonl then
@@ -641,11 +396,7 @@ let trace_cmd =
          "Run a workload with the per-instruction pipeline tracer attached \
           and write a Perfetto-loadable trace (fetch, dispatch, issue, \
           complete, commit spans).")
-    Term.(
-      const run $ scheme_arg $ workload_arg $ width_arg $ iters_arg
-      $ leaf_arg $ blocks_arg $ seed_arg $ key_arg $ out $ jsonl)
-
-(* ---- leakage ---- *)
+    Term.(const run $ scheme_arg $ workload_term $ out $ jsonl)
 
 let leakage_cmd =
   let module Leakage = Sempe_security.Leakage in
@@ -656,20 +407,8 @@ let leakage_cmd =
       Printf.eprintf "--channel and --trace-out require --attribute\n";
       exit 124
     end;
-    if not attribute then begin
-      if json then
-        (* Through the serving API: daemon leakage responses are
-           byte-identical to this document by construction. *)
-        print_json (with_progress progress (fun () -> Api.perform Api.Leakage))
-      else begin
-        let results =
-          with_progress progress (fun () ->
-              Sempe_experiments.Security_exp.measure ())
-        in
-        print_string (Sempe_experiments.Security_exp.render results);
-        print_newline ()
-      end
-    end
+    if not attribute then
+      print_outcome json (with_progress progress (fun () -> Api.run Api.Leakage))
     else begin
       (* --channel names go through the Leakage channel vocabulary (the
          same names `fuzz --oracle trace` failures report) and map onto
@@ -853,7 +592,7 @@ let asm_run_cmd =
         res.Sempe_core.Exec.dyn_instrs
         res.Sempe_core.Exec.regs.(Sempe_isa.Reg.rv)
         res.Sempe_core.Exec.max_nesting;
-      print_report (Timing.report timing)
+      print_endline (Report.render (Timing.report timing))
     end
   in
   let path =
@@ -926,36 +665,7 @@ let fuzz_cmd =
       (List.length outcome.Fuzz.failures)
       outcome.Fuzz.wall_s workers;
     if json then print_json (Fuzz.to_json outcome)
-    else begin
-      Printf.printf
-        "fuzz: seed %d, %d cases executed, %d execution shapes, oracles: %s\n"
-        seed outcome.Fuzz.executed outcome.Fuzz.features
-        (String.concat ", " (List.map (fun o -> o.Oracle.name) oracles));
-      match outcome.Fuzz.failures with
-      | [] -> print_endline "no oracle violations"
-      | fs ->
-        List.iter
-          (fun f ->
-            Printf.printf
-              "\nFAIL [%s] seed %d (%s): %s\n\
-               minimized %d -> %d statements (%d static instructions, %d \
-               minimizer trials)%s\n\
-               %s\n"
-              f.Fuzz.f_oracle f.Fuzz.f_seed
-              (Fuzz.origin_name f.Fuzz.f_origin)
-              f.Fuzz.f_message f.Fuzz.f_size f.Fuzz.f_min_size
-              f.Fuzz.f_min_instrs f.Fuzz.f_trials
-              (match f.Fuzz.f_repro with
-               | None -> ""
-               | Some p -> Printf.sprintf "\nreproducer: %s" p)
-              f.Fuzz.f_source;
-            match f.Fuzz.f_attribution with
-            | None -> ()
-            | Some a ->
-              Printf.printf "leakage attribution (%s):\n%s" a.Fuzz.a_comparison
-                a.Fuzz.a_text)
-          fs
-    end;
+    else print_string (Fuzz.render config outcome);
     if outcome.Fuzz.failures <> [] then exit 1
   in
   let seed =
@@ -1029,21 +739,15 @@ let fuzz_cmd =
       const run $ seed $ count $ budget $ oracle_names $ jobs_arg $ corpus
       $ no_corpus $ no_minimize $ fault $ max_failures $ json_arg)
 
+
 (* ---- disasm ---- *)
 
 let disasm_cmd =
   let run scheme which =
-    let src =
-      match which with
-      | "rsa" -> Rsa.program
-      | "djpeg" -> Djpeg.program Djpeg.Ppm
-      | other -> (
-        match Kernels.by_name other with
-        | Some kernel ->
-          MB.program ~ct:(ct_of_scheme scheme) { MB.kernel; width = 1; iters = 1 }
-        | None -> failwith (Printf.sprintf "unknown workload %S" other))
+    let workload =
+      select_workload which ~width:1 ~iters:1 ~leaf:1 ~blocks:1 ~seed:0 ~key:0
     in
-    let built = Harness.build scheme src in
+    let built, _, _ = Api.setup scheme workload in
     Format.printf "%a@." Sempe_isa.Program.pp built.Harness.prog
   in
   let which =
@@ -1177,34 +881,26 @@ let serve_cmd =
 let client_cmd =
   let run connect op which width iters leaf blocks seed key scheme strict
       interval coverage warmup top fuzz_seed count =
+    let workload () =
+      select_workload which ~width ~iters ~leaf ~blocks ~seed ~key
+    in
     let request =
       match op with
       | "ping" | "stats" | "shutdown" -> None
       | "simulate" ->
         Some
-          (Api.Simulate
-             {
-               scheme;
-               workload = api_workload which ~width ~iters ~leaf ~blocks ~seed ~key;
-               strict_oob = strict;
-             })
+          (Api.Simulate { scheme; workload = workload (); strict_oob = strict })
       | "sample" ->
         Some
           (Api.Sample
              {
                scheme;
-               workload = api_workload which ~width ~iters ~leaf ~blocks ~seed ~key;
+               workload = workload ();
                strict_oob = strict;
                params = { Api.interval; coverage; warmup };
              })
       | "profile" ->
-        Some
-          (Api.Profile
-             {
-               scheme;
-               workload = api_workload which ~width ~iters ~leaf ~blocks ~seed ~key;
-               top;
-             })
+        Some (Api.Profile { scheme; workload = workload (); top })
       | "leakage" -> Some Api.Leakage
       | "fuzz-smoke" -> Some (Api.Fuzz_smoke { seed = fuzz_seed; count })
       | other ->

@@ -106,9 +106,14 @@ echo "== hot-path allocation smoke: probe-free modes stay allocation-free"
 # only probe-attached runs are allowed to build event records.
 ./_build/default/bench/hotpath.exe --iters 150 --assert-alloc
 
-echo "== sampling smoke: fibonacci, 25% coverage, -j 2"
+echo "== sampling smoke: fibonacci, 25% coverage, -j 1 vs -j 2"
+# The document is byte-identical at any -j (wall-clock figures go to
+# stderr), and the full run must land inside the estimate's band.
+./_build/default/bin/sempe_sim.exe sample fibonacci --iters 50 \
+  --coverage 0.25 -j 1 --compare-full --json > "$out/sample-j1.json"
 ./_build/default/bin/sempe_sim.exe sample fibonacci --iters 50 \
   --coverage 0.25 -j 2 --compare-full --json > "$out/sample.json"
+cmp "$out/sample-j1.json" "$out/sample.json"
 grep -q '"in_bound":true' "$out/sample.json"
 
 echo "== fuzz smoke: 100 cases, all oracles, pinned seed"

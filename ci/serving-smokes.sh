@@ -23,7 +23,8 @@ await_sock() {
 
 echo "== serve smoke: daemon round-trips byte-identical to the batch CLI"
 # Each served response is compared byte-for-byte against the matching
-# batch subcommand's --json output, a warm repeat must serve the
+# batch subcommand's --json output (a served sample against both
+# `rsa --sample` and `sample rsa`), a warm repeat must serve the
 # identical cached bytes, the loadgen must drop nothing against the warm
 # daemon, and the client shutdown op must leave a clean exit.
 sock="$out/serve.sock"
@@ -38,6 +39,8 @@ cmp "$out/served-sim.json" "$out/served-sim2.json"
 "$sim" client sample -c "$sock" --workload rsa > "$out/served-sample.json"
 "$sim" rsa --sample --json > "$out/batch-sample.json"
 cmp "$out/served-sample.json" "$out/batch-sample.json"
+"$sim" sample rsa --json > "$out/batch-sample2.json"
+cmp "$out/batch-sample2.json" "$out/batch-sample.json"
 "$sim" client fuzz-smoke -c "$sock" --fuzz-seed 5 --count 25 \
   > "$out/served-fuzz.json"
 "$sim" fuzz --seed 5 --count 25 --no-corpus --json > "$out/batch-fuzz.json"

@@ -318,3 +318,30 @@ let to_json o =
       ("features", Json.Int o.features);
       ("failures", Json.List (List.map failure_to_json o.failures));
     ]
+
+let render config o =
+  let failure f =
+    Printf.sprintf
+      "\nFAIL [%s] seed %d (%s): %s\n\
+       minimized %d -> %d statements (%d static instructions, %d \
+       minimizer trials)%s\n\
+       %s\n%s"
+      f.f_oracle f.f_seed (origin_name f.f_origin) f.f_message f.f_size
+      f.f_min_size f.f_min_instrs f.f_trials
+      (match f.f_repro with
+       | None -> ""
+       | Some p -> Printf.sprintf "\nreproducer: %s" p)
+      f.f_source
+      (match f.f_attribution with
+       | None -> ""
+       | Some a ->
+         Printf.sprintf "leakage attribution (%s):\n%s" a.a_comparison
+           a.a_text)
+  in
+  Printf.sprintf
+    "fuzz: seed %d, %d cases executed, %d execution shapes, oracles: %s\n%s"
+    config.seed o.executed o.features
+    (String.concat ", " (List.map (fun o -> o.Oracle.name) config.oracles))
+    (match o.failures with
+     | [] -> "no oracle violations\n"
+     | fs -> String.concat "" (List.map failure fs))

@@ -82,3 +82,9 @@ val run : config -> outcome
 val to_json : outcome -> Sempe_obs.Json.t
 (** Machine-readable outcome. Excludes [wall_s] so the document is
     byte-identical across worker counts and runs. *)
+
+val render : config -> outcome -> string
+(** The outcome as text: the case and execution-shape counts under
+    [config]'s seed and oracles, then each failure with its minimized
+    reproducer and leakage attribution. Excludes [wall_s], like
+    {!to_json}. *)

@@ -1,4 +1,5 @@
 module Timing = Sempe_pipeline.Timing
+module Config = Sempe_pipeline.Config
 module Stall = Sempe_pipeline.Stall
 module Tablefmt = Sempe_util.Tablefmt
 
@@ -83,4 +84,25 @@ let to_json (r : Timing.report) =
       ("l2_misses", Json.Int r.Timing.l2_misses);
       ("l2_miss_rate", Json.Float r.Timing.l2_miss_rate);
       ("stall_stack", stall_stack_json r);
+    ]
+
+let render (r : Timing.report) =
+  let clock_hz = Config.default.Config.clock_ghz *. 1e9 in
+  Tablefmt.render ~header:[ "metric"; "value" ]
+    [
+      [ "instructions"; string_of_int r.Timing.instructions ];
+      [ "cycles"; string_of_int r.Timing.cycles ];
+      [ "CPI"; Tablefmt.fixed 3 r.Timing.cpi ];
+      [ "time @2GHz";
+        Printf.sprintf "%.1f us" (float_of_int r.Timing.cycles /. clock_hz *. 1e6) ];
+      [ "cond. branches"; string_of_int r.Timing.cond_branches ];
+      [ "mispredicts"; string_of_int r.Timing.mispredicts ];
+      [ "secure branches (sJMP)"; string_of_int r.Timing.secure_branches ];
+      [ "pipeline drains"; string_of_int r.Timing.drains ];
+      [ "SPM transfer cycles"; string_of_int r.Timing.spm_cycles ];
+      [ "loads / stores";
+        Printf.sprintf "%d / %d" r.Timing.loads r.Timing.stores ];
+      [ "IL1 miss rate"; Tablefmt.percent r.Timing.il1_miss_rate ];
+      [ "DL1 miss rate"; Tablefmt.percent r.Timing.dl1_miss_rate ];
+      [ "L2 miss rate"; Tablefmt.percent r.Timing.l2_miss_rate ];
     ]

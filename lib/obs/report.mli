@@ -27,3 +27,8 @@ val leakage_stack_json : (string * int) list -> Json.t
 val to_json : Sempe_pipeline.Timing.report -> Json.t
 (** Every counter of the report (cache signature hashes excluded) plus the
     stall stack, as one flat JSON object. *)
+
+val render : Sempe_pipeline.Timing.report -> string
+(** The run-summary text table: instructions, cycles, CPI, wall time at
+    the default machine's clock, branch, drain and memory counters and
+    the three miss rates. No trailing newline. *)

@@ -4,6 +4,7 @@ module Config = Sempe_pipeline.Config
 module Warm = Sempe_pipeline.Warm
 module Pool = Sempe_util.Pool
 module Stats = Sempe_util.Stats
+module Tablefmt = Sempe_util.Tablefmt
 module Json = Sempe_obs.Json
 
 type config = {
@@ -173,7 +174,11 @@ let measure ~machine ~interval prog ckpt ~skip =
   let sess = Exec.resume ~sink:(Timing.feed timing) prog arch in
   if skip > 0 then ignore (Exec.step_slice sess skip : bool);
   let i0 = Exec.instructions sess in
-  let c0 = Timing.current_cycles timing in
+  (* [current_cycles] counts the frontier's cycle, so a model that has
+     committed nothing reads 1: without warmup the interval starts at
+     cycle 0, which makes an interval from instruction 0 match the full
+     run's count. *)
+  let c0 = if skip > 0 then Timing.current_cycles timing else 0 in
   ignore (Exec.step_slice sess interval : bool);
   (Exec.instructions sess - i0, Timing.current_cycles timing - c0)
 
@@ -378,4 +383,23 @@ let to_json e =
       ("measured_cycles", Json.Int e.measured_cycles);
       ("exact", Json.Bool e.exact);
       ("checkpoint_bytes", Json.Int e.checkpoint_bytes);
+    ]
+
+let render e =
+  Tablefmt.render ~header:[ "metric"; "value" ]
+    [
+      [ "instructions"; string_of_int e.instructions ];
+      [ "cycles (estimate)"; string_of_int e.cycles_estimate ];
+      [ "90% band"; Printf.sprintf "[%d, %d]" e.cycles_low e.cycles_high ];
+      [ "CPI"; Tablefmt.fixed 3 e.cpi ];
+      [ "intervals measured";
+        Printf.sprintf "%d / %d" e.intervals_measured e.intervals_total ];
+      [ "instructions measured";
+        Printf.sprintf "%d (%.1f%%)" e.measured_instructions
+          (100.
+          *. float_of_int e.measured_instructions
+          /. float_of_int (max 1 e.instructions)) ];
+      [ "exact"; (if e.exact then "yes (full coverage)" else "no") ];
+      [ "checkpoint volume";
+        Printf.sprintf "%.1f KiB" (float_of_int e.checkpoint_bytes /. 1024.) ];
     ]

@@ -169,3 +169,8 @@ val relative_error : estimate -> cycles:int -> float
 (** |estimate - truth| / truth against a known full-run cycle count. *)
 
 val to_json : estimate -> Sempe_obs.Json.t
+
+val render : estimate -> string
+(** The estimate as a text table: instruction count, cycle estimate and
+    its band, CPI, measured share and checkpoint volume. No trailing
+    newline. *)

@@ -2,6 +2,8 @@ module Json = Sempe_obs.Json
 module Report = Sempe_obs.Report
 module Profile = Sempe_obs.Profile
 module Sink = Sempe_obs.Sink
+module Tablefmt = Sempe_util.Tablefmt
+module Timing = Sempe_pipeline.Timing
 module Scheme = Sempe_core.Scheme
 module Run = Sempe_core.Run
 module Sampling = Sempe_sampling.Sampling
@@ -12,6 +14,7 @@ module Djpeg = Sempe_workloads.Djpeg
 module Rsa = Sempe_workloads.Rsa
 module Pool = Sempe_util.Pool
 module Fuzz = Sempe_fuzz.Fuzz
+module Security_exp = Sempe_experiments.Security_exp
 
 type workload =
   | Microbench of { kernel : string; width : int; iters : int; leaf : int }
@@ -32,9 +35,33 @@ type request =
   | Leakage
   | Fuzz_smoke of { seed : int; count : int }
 
-(* Mirrors the CLI: the software schemes get the constant-time kernel
-   variants (their transforms would not terminate on data-dependent
-   loops). *)
+type outcome =
+  | Simulated of {
+      scheme : Scheme.t;
+      workload : workload;
+      value : int;
+      report : Timing.report;
+      slowdown : float option;
+    }
+  | Sampled of {
+      scheme : Scheme.t;
+      workload : workload;
+      estimate : Sampling.estimate;
+      full_cycles : int option;
+    }
+  | Profiled of {
+      scheme : Scheme.t;
+      workload : workload;
+      top : int;
+      report : Timing.report;
+      profile : Profile.t;
+      code : Sempe_isa.Instr.t array;
+    }
+  | Leakage_matrix of Security_exp.result list
+  | Fuzzed of { config : Fuzz.config; outcome : Fuzz.outcome }
+
+(* The software schemes get the constant-time kernel variants (their
+   transforms would not terminate on data-dependent loops). *)
 let ct_of_scheme = function
   | Scheme.Cte | Scheme.Raccoon | Scheme.Mto -> true
   | Scheme.Baseline | Scheme.Sempe | Scheme.Sempe_on_legacy -> false
@@ -51,53 +78,26 @@ let format_named name =
   | "BMP" -> Djpeg.Bmp
   | other -> invalid_arg (Printf.sprintf "Api: unknown djpeg format %S" other)
 
-(* Source program, initial state and the identifying JSON tags of a
-   workload — the same values (in the same field order) the CLI
-   subcommands use. *)
+let rsa_base = 1234
+let rsa_modulus = 99991
+
 let setup scheme workload =
   match workload with
   | Microbench { kernel; width; iters; leaf } ->
     let spec = { MB.kernel = kernel_named kernel; width; iters } in
-    let tags =
-      [
-        ("workload", Json.Str "microbench");
-        ("kernel", Json.Str kernel);
-        ("width", Json.Int width);
-        ("iters", Json.Int iters);
-        ("leaf", Json.Int leaf);
-        ("scheme", Json.Str (Scheme.name scheme));
-      ]
-    in
-    ( MB.program ~ct:(ct_of_scheme scheme) spec,
+    ( Harness.build scheme (MB.program ~ct:(ct_of_scheme scheme) spec),
       MB.secrets_for_leaf ~width ~leaf,
-      [],
-      tags )
+      [] )
   | Djpeg { format; blocks; seed } ->
     let fmt = format_named format in
     let globals, arrays = Djpeg.inputs fmt ~seed ~blocks in
-    let tags =
-      [
-        ("workload", Json.Str "djpeg");
-        ("format", Json.Str (Djpeg.format_name fmt));
-        ("blocks", Json.Int blocks);
-        ("seed", Json.Int seed);
-        ("scheme", Json.Str (Scheme.name scheme));
-      ]
-    in
-    (Djpeg.program fmt, globals, arrays, tags)
+    (Harness.build scheme (Djpeg.program fmt), globals, arrays)
   | Rsa { key } ->
-    let globals, arrays = Rsa.inputs ~key ~base:1234 ~modulus:99991 in
-    let tags =
-      [
-        ("workload", Json.Str "rsa");
-        ("key", Json.Int key);
-        ("scheme", Json.Str (Scheme.name scheme));
-      ]
+    let globals, arrays =
+      Rsa.inputs ~key ~base:rsa_base ~modulus:rsa_modulus
     in
-    (Rsa.program, globals, arrays, tags)
+    (Harness.build scheme Rsa.program, globals, arrays)
 
-(* The profile/trace subcommands describe their workload with a one-line
-   string rather than tags; reproduce those exact strings. *)
 let describe = function
   | Rsa { key } -> Printf.sprintf "rsa key=0x%04x" key
   | Djpeg { format; blocks; seed } ->
@@ -108,44 +108,106 @@ let describe = function
     Printf.sprintf "%s W=%d iters=%d leaf=%d"
       (kernel_named kernel).Kernels.name width iters leaf
 
-let perform ?workers ?plan ?plan_out request =
+(* A workload's type name and parameters, in wire order: the [workload]
+   object of a request and the opening fields of its result document. *)
+let workload_fields = function
+  | Microbench { kernel; width; iters; leaf } ->
+    ( "microbench",
+      [
+        ("kernel", Json.Str (kernel_named kernel).Kernels.name);
+        ("width", Json.Int width);
+        ("iters", Json.Int iters);
+        ("leaf", Json.Int leaf);
+      ] )
+  | Djpeg { format; blocks; seed } ->
+    ( "djpeg",
+      [
+        ("format", Json.Str (Djpeg.format_name (format_named format)));
+        ("blocks", Json.Int blocks);
+        ("seed", Json.Int seed);
+      ] )
+  | Rsa { key } -> ("rsa", [ ("key", Json.Int key) ])
+
+(* ---- range check ---- *)
+
+let ( let* ) = Result.bind
+
+let check_workload = function
+  | Microbench { kernel; width; iters; leaf } ->
+    if Kernels.by_name kernel = None then
+      Error
+        (Printf.sprintf "unknown kernel %S (expected one of: %s)" kernel
+           (String.concat ", " (List.map (fun k -> k.Kernels.name) Kernels.all)))
+    else if width < 1 then Error "field \"width\" must be >= 1"
+    else if iters < 1 then Error "field \"iters\" must be >= 1"
+    else if leaf < 1 || leaf > width + 1 then
+      Error "field \"leaf\" must be in 1..width+1"
+    else Ok ()
+  | Djpeg { format; blocks; _ } -> (
+    match String.uppercase_ascii format with
+    | "PPM" | "GIF" | "BMP" ->
+      if blocks < 1 || blocks > Djpeg.max_blocks then
+        Error
+          (Printf.sprintf "field \"blocks\" must be in 1..%d" Djpeg.max_blocks)
+      else Ok ()
+    | other ->
+      Error (Printf.sprintf "unknown djpeg format %S (PPM, GIF or BMP)" other))
+  | Rsa { key } ->
+    if key < 0 || key lsr Rsa.key_bits <> 0 then
+      Error (Printf.sprintf "field \"key\" must fit in %d bits" Rsa.key_bits)
+    else Ok ()
+
+let check = function
+  | Simulate { workload; _ } -> check_workload workload
+  | Sample { workload; params = { interval; coverage; warmup }; _ } ->
+    let* () = check_workload workload in
+    if interval <= 0 then Error "field \"interval\" must be positive"
+    else if not (coverage > 0. && coverage <= 1.) then
+      Error "field \"coverage\" must be in (0, 1]"
+    else if warmup < 0 then Error "field \"warmup\" must be >= 0"
+    else Ok ()
+  | Profile { workload; top; _ } ->
+    let* () = check_workload workload in
+    if top < 1 then Error "field \"top\" must be >= 1" else Ok ()
+  | Leakage -> Ok ()
+  | Fuzz_smoke { count; _ } ->
+    if count < 1 then Error "field \"count\" must be >= 1"
+    else if count > 10_000 then Error "field \"count\" must be <= 10000"
+    else Ok ()
+
+(* ---- execution ---- *)
+
+let full_cycles scheme workload ~strict_oob =
+  let built, globals, arrays = setup scheme workload in
+  Run.cycles
+    (Harness.run ~forgiving_oob:(not strict_oob) ~globals ~arrays built)
+
+let run ?workers ?plan ?plan_out request =
   match request with
   | Simulate { scheme; workload; strict_oob } ->
-    let src, globals, arrays, tags = setup scheme workload in
-    let built = Harness.build scheme src in
+    let built, globals, arrays = setup scheme workload in
     let forgiving_oob = not strict_oob in
     let outcome = Harness.run ~forgiving_oob ~globals ~arrays built in
-    let fields =
+    let slowdown =
       match workload with
-      | Microbench { kernel; width; iters; _ } ->
-        (* The microbench report carries its slowdown against the
-           unprotected baseline, like the CLI's. *)
-        let spec = { MB.kernel = kernel_named kernel; width; iters } in
-        let base =
-          Harness.run ~forgiving_oob ~globals
-            (Harness.build Scheme.Baseline (MB.program ~ct:false spec))
-        in
-        [
-          ("checksum", Json.Int (Harness.return_value outcome));
-          ("slowdown_vs_baseline", Json.Float (Run.overhead ~baseline:base outcome));
-          ("report", Report.to_json outcome.Run.timing);
-        ]
-      | Djpeg _ ->
-        [
-          ("checksum", Json.Int (Harness.return_value outcome));
-          ("report", Report.to_json outcome.Run.timing);
-        ]
-      | Rsa { key } ->
-        [
-          ("result", Json.Int (Harness.return_value outcome));
-          ("expected", Json.Int (Rsa.reference ~key ~base:1234 ~modulus:99991));
-          ("report", Report.to_json outcome.Run.timing);
-        ]
+      | Microbench _ ->
+        let base, _, _ = setup Scheme.Baseline workload in
+        Some
+          (Run.overhead
+             ~baseline:(Harness.run ~forgiving_oob ~globals base)
+             outcome)
+      | Djpeg _ | Rsa _ -> None
     in
-    Json.Obj (tags @ fields)
+    Simulated
+      {
+        scheme;
+        workload;
+        value = Harness.return_value outcome;
+        report = outcome.Run.timing;
+        slowdown;
+      }
   | Sample { scheme; workload; strict_oob; params } ->
-    let src, globals, arrays, tags = setup scheme workload in
-    let built = Harness.build scheme src in
+    let built, globals, arrays = setup scheme workload in
     let config =
       {
         Sampling.default_config with
@@ -154,28 +216,27 @@ let perform ?workers ?plan ?plan_out request =
         warmup = params.warmup;
       }
     in
-    let est =
+    let estimate =
       Harness.sample ~forgiving_oob:(not strict_oob) ~globals ~arrays ~config
         ?workers ?plan ?plan_out built
     in
-    Json.Obj (tags @ [ ("sampling", Sampling.to_json est) ])
+    Sampled { scheme; workload; estimate; full_cycles = None }
   | Profile { scheme; workload; top } ->
-    let src, globals, arrays, _ = setup scheme workload in
-    let built = Harness.build scheme src in
+    let built, globals, arrays = setup scheme workload in
     let profile = Profile.create () in
     let sink = Sink.of_probe (Profile.probe profile) in
     let outcome = Harness.run ~globals ~arrays ~sink built in
     sink.Sink.close ();
-    Json.Obj
-      [
-        ("workload", Json.Str (describe workload));
-        ("scheme", Json.Str (Scheme.name scheme));
-        ("report", Report.to_json outcome.Run.timing);
-        ("profile", Profile.to_json ~n:top profile);
-      ]
-  | Leakage ->
-    Sempe_experiments.Security_exp.to_json
-      (Sempe_experiments.Security_exp.measure ())
+    Profiled
+      {
+        scheme;
+        workload;
+        top;
+        report = outcome.Run.timing;
+        profile;
+        code = built.Harness.prog.Sempe_isa.Program.code;
+      }
+  | Leakage -> Leakage_matrix (Security_exp.measure ())
   | Fuzz_smoke { seed; count } ->
     (* The corpus-less CLI invocation: all oracles, minimization on, the
        default failure cap. The outcome JSON is worker-count-independent
@@ -186,29 +247,118 @@ let perform ?workers ?plan ?plan_out request =
       | Some w -> max 1 (min w (Pool.default_workers ()))
     in
     let config = { Fuzz.default_config with Fuzz.seed; count; workers } in
-    Fuzz.to_json (Fuzz.run config)
+    Fuzzed { config; outcome = Fuzz.run config }
+
+(* ---- renderers ---- *)
+
+(* A workload's identifying fields, opening its result documents. *)
+let tags scheme workload =
+  let ty, fields = workload_fields workload in
+  (("workload", Json.Str ty) :: fields)
+  @ [ ("scheme", Json.Str (Scheme.name scheme)) ]
+
+let rsa_expected key =
+  Rsa.reference ~key ~base:rsa_base ~modulus:rsa_modulus
+
+let to_json = function
+  | Simulated { scheme; workload; value; report; slowdown } ->
+    let fields =
+      match workload with
+      | Rsa { key } ->
+        [ ("result", Json.Int value); ("expected", Json.Int (rsa_expected key)) ]
+      | Microbench _ | Djpeg _ -> [ ("checksum", Json.Int value) ]
+    in
+    let slowdown =
+      match slowdown with
+      | Some s -> [ ("slowdown_vs_baseline", Json.Float s) ]
+      | None -> []
+    in
+    Json.Obj
+      (tags scheme workload @ fields @ slowdown
+      @ [ ("report", Report.to_json report) ])
+  | Sampled { scheme; workload; estimate; full_cycles } ->
+    let comparison =
+      match full_cycles with
+      | None -> []
+      | Some cycles ->
+        [
+          ("full_cycles", Json.Int cycles);
+          ("error", Json.Float (Sampling.relative_error estimate ~cycles));
+          ("in_bound", Json.Bool (Sampling.contains estimate ~cycles));
+        ]
+    in
+    Json.Obj
+      (tags scheme workload
+      @ (("sampling", Sampling.to_json estimate) :: comparison))
+  | Profiled { scheme; workload; top; report; profile; _ } ->
+    Json.Obj
+      [
+        ("workload", Json.Str (describe workload));
+        ("scheme", Json.Str (Scheme.name scheme));
+        ("report", Report.to_json report);
+        ("profile", Profile.to_json ~n:top profile);
+      ]
+  | Leakage_matrix results -> Security_exp.to_json results
+  | Fuzzed { outcome; _ } -> Fuzz.to_json outcome
+
+(* The one-line title of a workload's text rendering. *)
+let headline scheme workload =
+  let scheme = Scheme.name scheme in
+  match workload with
+  | Microbench { kernel; width; iters; leaf } ->
+    Printf.sprintf "microbenchmark %s, W=%d, iters=%d, scheme=%s, true leaf=%d"
+      (kernel_named kernel).Kernels.name width iters scheme leaf
+  | Djpeg { format; blocks; seed } ->
+    Printf.sprintf "djpeg -> %s, %d blocks, scheme=%s, image seed=%d"
+      (Djpeg.format_name (format_named format))
+      blocks scheme seed
+  | Rsa { key } ->
+    Printf.sprintf "modexp (Figure 1), key=0x%04x, scheme=%s" key scheme
+
+let to_text = function
+  | Simulated { scheme; workload; value; report; slowdown } ->
+    let result =
+      match workload with
+      | Rsa { key } ->
+        Printf.sprintf "result = %d (expected %d)" value (rsa_expected key)
+      | Microbench _ | Djpeg _ -> Printf.sprintf "checksum = %d" value
+    in
+    Printf.sprintf "%s\n%s\n\n%s\n%s" (headline scheme workload) result
+      (Report.render report)
+      (match slowdown with
+       | Some s -> Printf.sprintf "\nslowdown vs baseline: %s\n" (Tablefmt.times s)
+       | None -> "")
+  | Sampled { scheme; workload; estimate; full_cycles } ->
+    Printf.sprintf "%s (sampled)\n\n%s\n%s" (headline scheme workload)
+      (Sampling.render estimate)
+      (match full_cycles with
+       | None -> ""
+       | Some cycles ->
+         Printf.sprintf "\nfull run: %d cycles -> error %s (%s the 90%% band)\n"
+           cycles
+           (Tablefmt.percent (Sampling.relative_error estimate ~cycles))
+           (if Sampling.contains estimate ~cycles then "inside" else "OUTSIDE"))
+  | Profiled { scheme; workload; top; report; profile; code } ->
+    let resolve pc =
+      if pc >= 0 && pc < Array.length code then
+        Sempe_isa.Instr.to_string code.(pc)
+      else "?"
+    in
+    Printf.sprintf "profile: %s, scheme=%s\n\n%s\n\n%s\n%s" (describe workload)
+      (Scheme.name scheme) (Report.render report)
+      (Report.render_stall_stack report)
+      (Profile.render ~n:top ~resolve profile)
+  | Leakage_matrix results -> Security_exp.render results ^ "\n"
+  | Fuzzed { config; outcome } -> Fuzz.render config outcome
+
+let perform ?workers ?plan ?plan_out request =
+  to_json (run ?workers ?plan ?plan_out request)
 
 (* ---- wire form ---- *)
 
-let workload_to_json = function
-  | Microbench { kernel; width; iters; leaf } ->
-    Json.Obj
-      [
-        ("type", Json.Str "microbench");
-        ("kernel", Json.Str (kernel_named kernel).Kernels.name);
-        ("width", Json.Int width);
-        ("iters", Json.Int iters);
-        ("leaf", Json.Int leaf);
-      ]
-  | Djpeg { format; blocks; seed } ->
-    Json.Obj
-      [
-        ("type", Json.Str "djpeg");
-        ("format", Json.Str (Djpeg.format_name (format_named format)));
-        ("blocks", Json.Int blocks);
-        ("seed", Json.Int seed);
-      ]
-  | Rsa { key } -> Json.Obj [ ("type", Json.Str "rsa"); ("key", Json.Int key) ]
+let workload_to_json workload =
+  let ty, fields = workload_fields workload in
+  Json.Obj (("type", Json.Str ty) :: fields)
 
 let request_to_json = function
   | Simulate { scheme; workload; strict_oob } ->
@@ -248,8 +398,6 @@ let request_to_json = function
       ]
 
 (* ---- strict decode ---- *)
-
-let ( let* ) = Result.bind
 
 let field name fields =
   match List.assoc_opt name fields with
@@ -301,81 +449,55 @@ let workload_of_fields fields =
   match ty with
   | "microbench" ->
     let* kernel = str_field "kernel" wf in
-    let* () =
-      match Kernels.by_name kernel with
-      | Some _ -> Ok ()
-      | None ->
-        Error
-          (Printf.sprintf "unknown kernel %S (expected one of: %s)" kernel
-             (String.concat ", "
-                (List.map (fun k -> k.Kernels.name) Kernels.all)))
-    in
     let* width = int_field "width" wf in
     let* iters = int_field "iters" wf in
     let* leaf = int_field "leaf" wf in
-    if width < 1 then Error "field \"width\" must be >= 1"
-    else if iters < 1 then Error "field \"iters\" must be >= 1"
-    else Ok (Microbench { kernel; width; iters; leaf })
+    Ok (Microbench { kernel; width; iters; leaf })
   | "djpeg" ->
     let* format = str_field "format" wf in
-    let* () =
-      match String.uppercase_ascii format with
-      | "PPM" | "GIF" | "BMP" -> Ok ()
-      | other ->
-        Error
-          (Printf.sprintf "unknown djpeg format %S (PPM, GIF or BMP)" other)
-    in
     let* blocks = int_field "blocks" wf in
     let* seed = int_field "seed" wf in
-    if blocks < 1 then Error "field \"blocks\" must be >= 1"
-    else Ok (Djpeg { format = String.uppercase_ascii format; blocks; seed })
+    Ok (Djpeg { format = String.uppercase_ascii format; blocks; seed })
   | "rsa" ->
     let* key = int_field "key" wf in
-    if key < 0 || key lsr Rsa.key_bits <> 0 then
-      Error (Printf.sprintf "field \"key\" must fit in %d bits" Rsa.key_bits)
-    else Ok (Rsa { key })
+    Ok (Rsa { key })
   | other -> Error (Printf.sprintf "unknown workload type %S" other)
 
-let request_of_json json =
-  match json with
-  | Json.Obj fields -> (
-    let* op = str_field "op" fields in
-    match op with
-    | "simulate" ->
-      let* scheme = scheme_field fields in
-      let* strict_oob = bool_field "strict_oob" fields in
-      let* workload = workload_of_fields fields in
-      Ok (Simulate { scheme; workload; strict_oob })
-    | "sample" ->
-      let* scheme = scheme_field fields in
-      let* strict_oob = bool_field "strict_oob" fields in
-      let* workload = workload_of_fields fields in
-      let* interval = int_field "interval" fields in
-      let* coverage = float_field "coverage" fields in
-      let* warmup = int_field "warmup" fields in
-      if interval <= 0 then Error "field \"interval\" must be positive"
-      else if not (coverage > 0. && coverage <= 1.) then
-        Error "field \"coverage\" must be in (0, 1]"
-      else if warmup < 0 then Error "field \"warmup\" must be >= 0"
-      else
-        Ok
-          (Sample
-             { scheme; workload; strict_oob;
-               params = { interval; coverage; warmup } })
-    | "profile" ->
-      let* scheme = scheme_field fields in
-      let* top = int_field "top" fields in
-      let* workload = workload_of_fields fields in
-      if top < 1 then Error "field \"top\" must be >= 1"
-      else Ok (Profile { scheme; workload; top })
-    | "leakage" -> Ok Leakage
-    | "fuzz-smoke" ->
-      let* seed = int_field "seed" fields in
-      let* count = int_field "count" fields in
-      if count < 1 then Error "field \"count\" must be >= 1"
-      else if count > 10_000 then Error "field \"count\" must be <= 10000"
-      else Ok (Fuzz_smoke { seed; count })
-    | other -> Error (Printf.sprintf "unknown op %S" other))
+let decode fields =
+  let* op = str_field "op" fields in
+  match op with
+  | "simulate" ->
+    let* scheme = scheme_field fields in
+    let* strict_oob = bool_field "strict_oob" fields in
+    let* workload = workload_of_fields fields in
+    Ok (Simulate { scheme; workload; strict_oob })
+  | "sample" ->
+    let* scheme = scheme_field fields in
+    let* strict_oob = bool_field "strict_oob" fields in
+    let* workload = workload_of_fields fields in
+    let* interval = int_field "interval" fields in
+    let* coverage = float_field "coverage" fields in
+    let* warmup = int_field "warmup" fields in
+    Ok
+      (Sample
+         { scheme; workload; strict_oob; params = { interval; coverage; warmup } })
+  | "profile" ->
+    let* scheme = scheme_field fields in
+    let* top = int_field "top" fields in
+    let* workload = workload_of_fields fields in
+    Ok (Profile { scheme; workload; top })
+  | "leakage" -> Ok Leakage
+  | "fuzz-smoke" ->
+    let* seed = int_field "seed" fields in
+    let* count = int_field "count" fields in
+    Ok (Fuzz_smoke { seed; count })
+  | other -> Error (Printf.sprintf "unknown op %S" other)
+
+let request_of_json = function
+  | Json.Obj fields ->
+    let* request = decode fields in
+    let* () = check request in
+    Ok request
   | _ -> Error "request must be a JSON object"
 
 (* ---- content addressing ---- *)
@@ -401,8 +523,7 @@ let digests s =
    generated code, so two requests whose JSON collides but whose programs
    differ still get distinct keys. *)
 let program_digests scheme workload =
-  let src, _, _, _ = setup scheme workload in
-  let built = Harness.build scheme src in
+  let built, _, _ = setup scheme workload in
   digests (Marshal.to_string built.Harness.prog [])
 
 let cache_key request =

@@ -1,10 +1,10 @@
-(** The daemon's request vocabulary and its single execution entry point.
+(** The request vocabulary shared by the daemon and the batch CLI.
 
-    Every operation the daemon serves is also a batch CLI invocation, and
-    the [--json] branches of those CLI subcommands call {!perform} too —
-    so a served response is byte-identical to the batch CLI's stdout for
-    the same request {e by construction}, not by parallel maintenance of
-    two formatting paths. *)
+    Both front ends {!check} a request, {!run} it once into a typed
+    {!outcome} and print one rendering of it: {!to_json} (the daemon's
+    reply, the CLI's [--json]) or {!to_text} (the CLI's tables). Served
+    bytes equal batch bytes, and text cannot drift from JSON, {e by
+    construction}. *)
 
 module Json = Sempe_obs.Json
 module Scheme = Sempe_core.Scheme
@@ -22,19 +22,73 @@ type sample_params = { interval : int; coverage : float; warmup : int }
 
 type request =
   | Simulate of { scheme : Scheme.t; workload : workload; strict_oob : bool }
-      (** full detailed simulation — [sempe-sim microbench/djpeg/rsa --json] *)
+      (** full detailed simulation — [sempe-sim microbench/djpeg/rsa] *)
   | Sample of {
       scheme : Scheme.t;
       workload : workload;
       strict_oob : bool;
       params : sample_params;
-    }  (** sampled simulation — [sempe-sim <workload> --sample --json] *)
+    }
+      (** sampled simulation — [sempe-sim <workload> --sample] and
+          [sempe-sim sample] *)
   | Profile of { scheme : Scheme.t; workload : workload; top : int }
-      (** per-PC profile — [sempe-sim profile --json] *)
-  | Leakage  (** the §IV-A security matrix — [sempe-sim leakage --json] *)
+      (** per-PC profile — [sempe-sim profile] *)
+  | Leakage  (** the §IV-A security matrix — [sempe-sim leakage] *)
   | Fuzz_smoke of { seed : int; count : int }
       (** a corpus-less differential-fuzz round —
           [sempe-sim fuzz --seed S --count N --no-corpus --json] *)
+
+val check : request -> (unit, string) result
+(** The range check both front ends apply before {!run}: known kernel and
+    format names and every parameter in the range its workload accepts
+    ([1 <= leaf <= width + 1], for one). [Error] names the field. *)
+
+type outcome =
+  | Simulated of {
+      scheme : Scheme.t;
+      workload : workload;
+      value : int;  (** [main]'s return value: a checksum, or RSA's result *)
+      report : Sempe_pipeline.Timing.report;
+      slowdown : float option;  (** vs the baseline build; microbench only *)
+    }
+  | Sampled of {
+      scheme : Scheme.t;
+      workload : workload;
+      estimate : Sampling.estimate;
+      full_cycles : int option;
+          (** [None] from {!run}; a caller may attach {!full_cycles}, and
+              the renderers then add the estimate's error against it *)
+    }
+  | Profiled of {
+      scheme : Scheme.t;
+      workload : workload;
+      top : int;
+      report : Sempe_pipeline.Timing.report;
+      profile : Sempe_obs.Profile.t;
+      code : Sempe_isa.Instr.t array;  (** to disassemble the profile's PCs *)
+    }
+  | Leakage_matrix of Sempe_experiments.Security_exp.result list
+  | Fuzzed of {
+      config : Sempe_fuzz.Fuzz.config;
+      outcome : Sempe_fuzz.Fuzz.outcome;
+    }
+
+val run :
+  ?workers:int ->
+  ?plan:Sampling.plan ->
+  ?plan_out:(Sampling.plan -> unit) ->
+  request ->
+  outcome
+(** Execute one {!check}ed request. Deterministic: the outcome is the same
+    at any [workers] (which only bounds the inner measurement parallelism
+    of [Sample] and the fuzz pool of [Fuzz_smoke]). [plan]/[plan_out]
+    revive / record a [Sample] request's checkpoint plan (ignored for the
+    other requests) — see {!Sempe_sampling.Sampling.estimate}. *)
+
+val to_json : outcome -> Json.t
+
+val to_text : outcome -> string
+(** Trailing newline included. *)
 
 val perform :
   ?workers:int ->
@@ -42,16 +96,26 @@ val perform :
   ?plan_out:(Sampling.plan -> unit) ->
   request ->
   Json.t
-(** Execute one request and return the same JSON document the batch CLI
-    prints for it. Deterministic: the document is byte-identical at any
-    [workers] (which only bounds the inner measurement parallelism of
-    [Sample] and the fuzz pool of [Fuzz_smoke]). [plan]/[plan_out] revive
-    / record a [Sample] request's checkpoint plan (ignored for the other
-    requests) — see {!Sempe_sampling.Sampling.estimate}.
+(** [to_json (run request)]: the daemon's execution entry point. *)
 
-    @raise Invalid_argument on an unknown kernel or djpeg format (the
-    strict decoder {!request_of_json} rejects those earlier, so the
-    daemon never sees them). *)
+val full_cycles : Scheme.t -> workload -> strict_oob:bool -> int
+(** Cycles of one full detailed run of [workload]'s [scheme] build, the
+    reference of [sample --compare-full]. Unlike {!run} on a microbench
+    [Simulate], it runs no baseline build, so it times the protected run
+    alone. *)
+
+val setup :
+  Scheme.t ->
+  workload ->
+  Sempe_workloads.Harness.built * (string * int) list * (string * int array) list
+(** The compiled program and its initial globals and arrays, exactly as
+    {!run} simulates them (the software schemes get the constant-time
+    kernel variants): for [trace], which attaches its own sink, and
+    [disasm]. *)
+
+val describe : workload -> string
+(** One-line description of a workload, e.g. ["rsa key=0x1234"]: the
+    title of the profile and trace outputs. *)
 
 val request_to_json : request -> Json.t
 (** Canonical wire form: an object carrying ["op"] plus the operation's
@@ -60,10 +124,10 @@ val request_to_json : request -> Json.t
     request share a cache entry. *)
 
 val request_of_json : Json.t -> (request, string) result
-(** Strict decode of a wire object: unknown ["op"], missing or
-    mistyped fields, unknown scheme/kernel/format names and out-of-range
-    sampling parameters are all [Error] with a message naming the
-    offending field. Unknown {e extra} fields are ignored (forward
+(** Strict decode of a wire object, then {!check}: unknown ["op"],
+    missing or mistyped fields, unknown scheme names and every value
+    {!check} rejects are all [Error] with a message naming the offending
+    field. Unknown {e extra} fields are ignored (forward
     compatibility). *)
 
 val digests : string -> int * int

@@ -73,6 +73,42 @@ let sim_table =
       [ "leakage"; "--channel"; "timing" ],
       124,
       Ignore_output );
+    (* A value out of range fails the range check the daemon applies to
+       the same request: a usage error, exit 124, not an uncaught
+       assertion (125) or a silent run (0). *)
+    ("rsa rejects a key past 16 bits", [ "rsa"; "--key"; "0x10000" ], 124,
+     Ignore_output);
+    ( "microbench rejects leaf 0",
+      [ "microbench"; "-w"; "2"; "--leaf"; "0" ],
+      124,
+      Ignore_output );
+    ( "microbench rejects a leaf past W+1",
+      [ "microbench"; "-w"; "2"; "--leaf"; "9" ],
+      124,
+      Ignore_output );
+    ("microbench rejects width 0", [ "microbench"; "-w"; "0" ], 124,
+     Ignore_output);
+    ("microbench rejects iters 0", [ "microbench"; "-i"; "0" ], 124,
+     Ignore_output);
+    ("djpeg rejects zero blocks", [ "djpeg"; "-b"; "0" ], 124, Ignore_output);
+    ("djpeg rejects blocks past the image", [ "djpeg"; "-b"; "65" ], 124,
+     Ignore_output);
+    ("djpeg rejects an unknown format", [ "djpeg"; "--format"; "bogus" ], 124,
+     Ignore_output);
+    ( "rsa --sample rejects zero coverage",
+      [ "rsa"; "--sample"; "--coverage"; "0" ],
+      124,
+      Ignore_output );
+    ("profile rejects --top 0", [ "profile"; "rsa"; "--top"; "0" ], 124,
+     Ignore_output);
+    ( "trace rejects width 0",
+      [ "trace"; "fibonacci"; "-w"; "0"; "-o"; "/dev/null" ],
+      124,
+      Ignore_output );
+    (* An unknown workload name exits 1 in every subcommand that takes
+       one. *)
+    ("disasm rejects an unknown workload", [ "disasm"; "bogus" ], 1,
+     Ignore_output);
     (* The serving surface follows the same exit-code convention: bad
        addresses, unknown ops and unknown flags all exit 124 before any
        connection is attempted. *)

@@ -346,6 +346,26 @@ let test_cost_model_fallback () =
     (name ^ ": forced sampling measures a strict subset") true
     (forced.Sampling.intervals_measured < forced.Sampling.intervals_total)
 
+(* RSA is shorter than one default interval, so at the default config
+   (cost ratio well under the fallback threshold) the sampler measures
+   interval 0 alone, from instruction 0 with no warmup: one detailed run
+   over the whole program, which must count exactly the full run's
+   cycles. *)
+let test_single_interval_matches_full () =
+  let built = Harness.build Scheme.Sempe Rsa.program in
+  let globals, arrays = Rsa.inputs ~key:0x1234 ~base:1234 ~modulus:99991 in
+  let config = Sampling.default_config in
+  Alcotest.(check bool) "sampled path" true
+    (Sampling.predicted_cost_ratio config < Sampling.fallback_threshold);
+  let full = full_cycles built ~globals ~arrays in
+  let est = Harness.sample ~globals ~arrays ~config built in
+  Alcotest.(check bool) "not the exact path" false est.Sampling.exact;
+  Alcotest.(check int) "one interval" 1 est.Sampling.intervals_measured;
+  Alcotest.(check int) "estimate equals the full run" full
+    est.Sampling.cycles_estimate;
+  Alcotest.(check bool) "band contains the full run" true
+    (Sampling.contains est ~cycles:full)
+
 let test_config_validation () =
   let built = Harness.build Scheme.Sempe Rsa.program in
   let globals, arrays = Rsa.inputs ~key:3 ~base:2 ~modulus:97 in
@@ -412,6 +432,8 @@ let tests =
     Alcotest.test_case "error shrinks with coverage (random programs)" `Slow
       test_error_shrinks_random_programs;
     Alcotest.test_case "cost-model fallback" `Quick test_cost_model_fallback;
+    Alcotest.test_case "single interval matches the full run" `Quick
+      test_single_interval_matches_full;
     Alcotest.test_case "config validation" `Quick test_config_validation;
     Alcotest.test_case "leakage needs two views" `Quick
       test_leakage_needs_two_views;

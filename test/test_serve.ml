@@ -222,6 +222,9 @@ let test_request_strict_decode () =
   rejected "unknown kernel"
     (with_workload_field simulate "kernel" (Json.Str "collatz"));
   rejected "width zero" (with_workload_field simulate "width" (Json.Int 0));
+  rejected "leaf zero" (with_workload_field simulate "leaf" (Json.Int 0));
+  rejected "leaf past width + 1"
+    (with_workload_field simulate "leaf" (Json.Int 9));
   rejected "unknown format"
     (with_workload_field
        (Api.Simulate
@@ -231,6 +234,8 @@ let test_request_strict_decode () =
             strict_oob = false;
           })
        "format" (Json.Str "WEBP"));
+  rejected "blocks past the image"
+    (with_workload_field (List.nth requests 1) "blocks" (Json.Int 65));
   rejected "coverage above 1" (with_field sample_req "coverage" (Json.Float 1.5));
   rejected "coverage zero" (with_field sample_req "coverage" (Json.Float 0.));
   rejected "interval zero" (with_field sample_req "interval" (Json.Int 0));

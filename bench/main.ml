@@ -1,42 +1,24 @@
-(* Regenerates every table and figure of the paper's evaluation on the
-   simulated substrate, then runs bechamel micro-benchmarks of the core
-   data structures and a full-vs-sampled simulation-rate benchmark.
-   `dune exec bench/main.exe` prints everything; pass `quick` to shrink
-   the sweeps (CI-sized run) and `-j N` to fan the simulation grids out
-   to N worker domains (default: one per core; `-j 1` is the plain
-   sequential path). The rendered sections up to the micro-benchmarks are
-   byte-identical at any -j (the perf sections report wall-clock times,
-   so they print after the determinism cut). `--bench-json FILE` writes
-   the perf records as machine-readable JSON; `--runs N` (default 3)
-   takes the median of N timed repeats of each perf measurement. `gate
-   --baseline FILE [--current FILE] [--tolerance PCT] [--min-work N]`
-   compares two such record sets and exits non-zero on a rate regression
-   or on a record measured over fewer than N instructions — the CI perf
-   gate. *)
+(* Simulation-rate records and the CI perf gate. The paper's tables are
+   rendered by `sempe-sim report all`.
 
-module Config = Sempe_pipeline.Config
+   `dune exec bench/main.exe` times the detailed model, the sampled
+   estimator and a witness-recording run on two workloads (Fibonacci at
+   W=4, 300 iterations; PPM djpeg, 32 blocks: the sizes
+   bench/baseline.json was captured at) and prints one rate table. It
+   also runs the sampler's smoke: 10% coverage must land inside its own
+   error band, and 100% coverage must equal the full run exactly.
+   `--bench-json FILE` writes the records as machine-readable JSON;
+   `--runs N` (default 3) takes the median of N timed repeats of each
+   measurement. `gate --baseline FILE [--current FILE] [--tolerance PCT]
+   [--min-work N]` compares two such record sets and exits non-zero on a
+   rate regression or on a record measured over fewer than N
+   instructions: the CI perf gate. *)
+
 module Tablefmt = Sempe_util.Tablefmt
-module Batch = Sempe_experiments.Batch
-
-let gate_mode = Array.exists (fun a -> a = "gate") Sys.argv
-
-(* Gate measurements are always CI-sized: the committed baseline is
-   captured from a `quick` run, and rates must be compared like for
-   like. *)
-let quick = gate_mode || Array.exists (fun a -> a = "quick") Sys.argv
-
-let jobs =
-  let rec scan i =
-    if i >= Array.length Sys.argv then None
-    else
-      let a = Sys.argv.(i) in
-      if (a = "-j" || a = "--jobs") && i + 1 < Array.length Sys.argv then
-        int_of_string_opt Sys.argv.(i + 1)
-      else if String.length a > 2 && String.sub a 0 2 = "-j" then
-        int_of_string_opt (String.sub a 2 (String.length a - 2))
-      else scan (i + 1)
-  in
-  match scan 1 with Some n -> n | None -> Batch.default_jobs ()
+module Harness = Sempe_workloads.Harness
+module Sampling = Sempe_sampling.Sampling
+module Pool = Sempe_util.Pool
+module Json = Sempe_obs.Json
 
 let arg_after name =
   let rec scan i =
@@ -70,155 +52,11 @@ let min_work =
         s;
       exit 2)
 
-let section title body =
-  Printf.printf "==== %s ====\n%s\n\n%!" title body
-
-let table2 () =
-  let rows = List.map (fun (k, v) -> [ k; v ]) (Config.rows Config.default) in
-  section "Table II - baseline microarchitecture model"
-    (Tablefmt.render ~header:[ "parameter"; "value" ] rows)
-
-let table1 () =
-  let iters = if quick then 1 else 2 in
-  let rows = Sempe_experiments.Table1.measure ~width:10 ~iters () in
-  section "Table I" (Sempe_experiments.Table1.render rows)
-
-let fig8_9 () =
-  let sizes =
-    if quick then
-      [ { Sempe_workloads.Djpeg.label = "256k"; blocks = 4 };
-        { Sempe_workloads.Djpeg.label = "512k"; blocks = 8 } ]
-    else Sempe_workloads.Djpeg.sizes
-  in
-  let cells = Sempe_experiments.Djpeg_exp.collect ~sizes () in
-  section "Figure 8" (Sempe_experiments.Djpeg_exp.render_fig8 cells);
-  section "Figure 9" (Sempe_experiments.Djpeg_exp.render_fig9 cells)
-
-let fig10 () =
-  let widths =
-    if quick then [ 1; 2; 4 ] else List.init 10 (fun k -> k + 1)
-  in
-  let iters = if quick then 1 else 3 in
-  let series = Sempe_experiments.Fig10.sweep ~widths ~iters () in
-  section "Figure 10a" (Sempe_experiments.Fig10.render_a series);
-  (* the paper's figure as a cross-kernel summary: average slowdown per W;
-     widths a series did not sample are averaged over the present points *)
-  let ratio num den (p : Sempe_experiments.Fig10.point) =
-    float_of_int (num p) /. float_of_int (den p)
-  in
-  let pts f = Sempe_experiments.Fig10.cross_kernel_average ~f series in
-  section "Figure 10a (cross-kernel average)"
-    (Sempe_util.Tablefmt.chart ~title:"average slowdown vs baseline"
-       ~xlabel:"W"
-       ~series:
-         [
-           ("SeMPE", pts (ratio (fun p -> p.Sempe_experiments.Fig10.sempe_cycles)
-                            (fun p -> p.Sempe_experiments.Fig10.baseline_cycles)));
-           ("CTE", pts (ratio (fun p -> p.Sempe_experiments.Fig10.cte_cycles)
-                          (fun p -> p.Sempe_experiments.Fig10.baseline_cycles)));
-         ]
-       ~log_y:true ());
-  section "Figure 10b" (Sempe_experiments.Fig10.render_b series)
-
-let security () =
-  let results = Sempe_experiments.Security_exp.measure () in
-  section "Security matrix (sections III / IV-G)"
-    (Sempe_experiments.Security_exp.render results)
-
-let ablations () =
-  let m = Sempe_experiments.Ablation.measure () in
-  section "Ablations (sections IV-E / IV-F)" (Sempe_experiments.Ablation.render m)
-
-(* ---- bechamel micro-benchmarks of the core structures ---- *)
-
-let micro () =
-  let open Bechamel in
-  let open Toolkit in
-  let jbtable =
-    let t = Sempe_core.Jbtable.create () in
-    Test.make ~name:"jbtable push/eosjmp x2" (Staged.stage @@ fun () ->
-        ignore (Sempe_core.Jbtable.push t);
-        Sempe_core.Jbtable.commit_sjmp t ~dest:1 ~outcome:true;
-        ignore (Sempe_core.Jbtable.on_eosjmp t);
-        ignore (Sempe_core.Jbtable.on_eosjmp t))
-  in
-  let snapshot =
-    let s = Sempe_core.Snapshot.create () in
-    let regs = Array.make Sempe_isa.Reg.count 7 in
-    Test.make ~name:"snapshot push/nt/finish" (Staged.stage @@ fun () ->
-        Sempe_core.Snapshot.push s ~regs ~outcome:true;
-        Sempe_core.Snapshot.note_write s 10;
-        ignore (Sempe_core.Snapshot.end_nt_path s ~regs);
-        Sempe_core.Snapshot.note_write s 11;
-        ignore (Sempe_core.Snapshot.finish s ~regs))
-  in
-  let cache =
-    let c =
-      Sempe_mem.Cache.create
-        { Sempe_mem.Cache.name = "bench"; size_bytes = 32 * 1024; line_bytes = 64; ways = 2 }
-    in
-    let addr = ref 0 in
-    Test.make ~name:"dl1 access" (Staged.stage @@ fun () ->
-        addr := (!addr + 4096 + 64) land 0xfffff;
-        ignore (Sempe_mem.Cache.access c ~addr:!addr ~write:false))
-  in
-  let tage =
-    let p = Sempe_bpred.Tage.create () in
-    let pc = ref 0 in
-    Test.make ~name:"tage predict+update" (Staged.stage @@ fun () ->
-        pc := (!pc + 97) land 0xffff;
-        let taken = !pc land 3 <> 0 in
-        ignore (p.Sempe_bpred.Predictor.predict ~pc:!pc);
-        p.Sempe_bpred.Predictor.update ~pc:!pc ~taken)
-  in
-  let simulate =
-    let spec =
-      { Sempe_workloads.Microbench.kernel = Sempe_workloads.Kernels.fibonacci;
-        width = 1; iters = 1 }
-    in
-    let src = Sempe_workloads.Microbench.program ~ct:false spec in
-    let built = Sempe_workloads.Harness.build Sempe_core.Scheme.Sempe src in
-    let secrets = Sempe_workloads.Microbench.secrets_for_leaf ~width:1 ~leaf:1 in
-    Test.make ~name:"simulate fib W=1 (SeMPE)" (Staged.stage @@ fun () ->
-        ignore (Sempe_workloads.Harness.run ~globals:secrets built))
-  in
-  let grouped =
-    Test.make_grouped ~name:"core" ~fmt:"%s/%s"
-      [ jbtable; snapshot; cache; tage; simulate ]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:1000 ~stabilize:true ~quota:(Time.second 0.25) ()
-  in
-  let raw = Benchmark.all cfg instances grouped in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name est ->
-      let ns =
-        match Analyze.OLS.estimates est with
-        | Some (x :: _) -> Printf.sprintf "%.1f" x
-        | Some [] | None -> "-"
-      in
-      rows := [ name; ns ] :: !rows)
-    results;
-  section "Component micro-benchmarks (bechamel, monotonic clock)"
-    (Tablefmt.render ~header:[ "operation"; "ns/run" ]
-       (List.sort compare !rows))
-
-(* ---- simulation-rate benchmark: full vs sampled ---- *)
-
-module Harness = Sempe_workloads.Harness
-module Sampling = Sempe_sampling.Sampling
-module Pool = Sempe_util.Pool
-module Json = Sempe_obs.Json
+(* ---- simulation rate: full vs sampled ---- *)
 
 type perf_record = {
   p_workload : string;
-  p_mode : string;  (* "full" | "sampled" *)
+  p_mode : string;  (* "full" | "sampled" | "witness" *)
   p_instructions : int;
   p_cycles : int;
   p_wall_s : float;
@@ -241,17 +79,11 @@ let perf_record_json r =
       ("speedup", Json.Float r.p_speedup);
     ]
 
-(* Simulation rate of the detailed model vs the sampled estimator on the
-   same workloads, plus the CI smoke of the sampler itself: 10% coverage
-   at -j 2 must land inside its own error band, and 100% coverage must
-   equal the full run exactly. The workloads run millions of dynamic
-   instructions even in quick mode: rates measured over less are startup
-   cost, and the sampled estimator can only show its wall-clock win once
-   the run is long enough to amortize its pool/checkpoint fixed costs —
-   which is also the only regime anyone should sample in. Wall-clock
-   numbers are nondeterministic, so this section prints after the
-   determinism cut (the micro section's header) and never perturbs the
-   -j sweep diff. *)
+(* The workloads run millions of dynamic instructions: rates measured
+   over less are startup cost, and the sampled estimator can only show
+   its wall-clock win once the run is long enough to amortize its
+   pool/checkpoint fixed costs, which is also the only regime anyone
+   should sample in. *)
 let measure_perf () =
   let sample_cfg coverage =
     { Sampling.default_config with Sampling.coverage }
@@ -262,13 +94,10 @@ let measure_perf () =
      scheduler noise and cold starts — unlike best-of-N it is also not
      biased optimistic on a machine with bursty interference. *)
   (* [prepare] runs before each repeat, outside the measured window.
-     Every record finishes a major cycle first: by the time the perf
-     section runs, the earlier report sections have grown the major heap
-     enough that pending GC work otherwise drags multi-second slices
-     into whichever measurement happens to trigger it — the witness
-     buffers' large allocations and the sampler's worker domains (whose
-     minor collections rendezvous with the main domain) are the worst
-     hit. *)
+     Every record finishes a major cycle first, so GC work left pending
+     by the previous measurement (the witness buffers' large allocations,
+     the sampler's worker domains, whose minor collections rendezvous
+     with the main domain) is not charged to the next one. *)
   let timed ?(prepare = fun () -> ()) f =
     let times = Array.make runs 0.0 in
     let result = ref None in
@@ -290,7 +119,7 @@ let measure_perf () =
     let fib =
       let spec =
         { Sempe_workloads.Microbench.kernel = Sempe_workloads.Kernels.fibonacci;
-          width = 4; iters = (if quick then 300 else 600) }
+          width = 4; iters = 300 }
       in
       ( "microbench-fibonacci",
         Harness.build Sempe_core.Scheme.Sempe
@@ -300,7 +129,7 @@ let measure_perf () =
     in
     let djpeg =
       let fmt = Sempe_workloads.Djpeg.Ppm in
-      let blocks = if quick then 32 else 64 in
+      let blocks = 32 in
       let globals, arrays = Sempe_workloads.Djpeg.inputs fmt ~seed:42 ~blocks in
       ( Printf.sprintf "djpeg-ppm-%db" blocks,
         Harness.build Sempe_core.Scheme.Sempe
@@ -387,7 +216,8 @@ let measure_perf () =
 
 let perf () =
   let records, smoke_failures = measure_perf () in
-  section "Simulation rate (full vs sampled, 25% coverage)"
+  Printf.printf "==== %s ====\n%s\n\n%!"
+    "Simulation rate (full vs sampled, 10% coverage)"
     (Tablefmt.render
        ~header:
          [ "workload"; "mode"; "instrs"; "cycles"; "wall s"; "Minstr/s";
@@ -423,8 +253,8 @@ let perf () =
 (* `gate --baseline FILE [--current FILE] [--tolerance PCT]`: compare
    perf records (as written by --bench-json) and fail when any
    simulation rate regresses past the tolerance. Without --current, a
-   fresh quick-sized measurement is taken — ci.sh passes the record file
-   its own quick run just wrote, so the gate costs nothing extra there. *)
+   fresh measurement is taken — ci.sh passes the record file its own
+   run just wrote, so the gate costs nothing extra there. *)
 
 type gate_rec = {
   g_workload : string;
@@ -506,7 +336,7 @@ let run_gate () =
             { g_workload = r.p_workload; g_mode = r.p_mode;
               g_rate = minstr_per_s r; g_instructions = r.p_instructions })
           records,
-        "fresh quick measurement" )
+        "fresh measurement" )
   in
   let failed = ref false in
   (* Measured-work floor: a rate measured over a handful of instructions
@@ -574,41 +404,11 @@ let run_gate () =
     Printf.eprintf
       "[gate] FAILED: a simulation rate regressed more than %.1f%% below \
        %s (or a record went missing); refresh the baseline with\n\
-      \  dune exec bench/main.exe -- quick --bench-json bench/baseline.json\n\
+      \  dune exec bench/main.exe -- --bench-json bench/baseline.json\n\
        if the regression is intended\n%!"
       tolerance baseline_file;
     exit 1
   end
 
 let () =
-  if gate_mode then begin
-    Batch.set_jobs jobs;
-    run_gate ();
-    exit 0
-  end;
-  Batch.set_jobs jobs;
-  (* stderr, so section output stays byte-identical across -j values *)
-  if Batch.jobs () > 1 then
-    Printf.eprintf "[bench] fanning sweeps out to %d worker domains\n%!"
-      (Batch.jobs ());
-  Printf.printf "SeMPE reproduction benchmark harness%s\n\n%!"
-    (if quick then " (quick mode)" else "");
-  table2 ();
-  table1 ();
-  fig8_9 ();
-  fig10 ();
-  security ();
-  ablations ();
-  (* stderr again: job-timing telemetry must not perturb the -j diff *)
-  (if Batch.jobs () > 1 then
-     match Batch.telemetry () with
-     | None -> ()
-     | Some t ->
-       Printf.eprintf
-         "[bench] %d simulation jobs, %.2fs wall, %.1f jobs/s; per-job \
-          mean %.3fs, p50 %.3fs, p95 %.3fs, max %.3fs\n\
-          %!"
-         t.Batch.jobs_run t.Batch.wall_s t.Batch.throughput t.Batch.mean_s
-         t.Batch.p50_s t.Batch.p95_s t.Batch.max_s);
-  micro ();
-  perf ()
+  if Array.exists (( = ) "gate") Sys.argv then run_gate () else perf ()

@@ -1,7 +1,8 @@
 (* sempe-sim: command-line front end to the SeMPE simulator.
 
    Subcommands: config, microbench, djpeg, rsa, sample, leakage, report,
-   profile, trace, asm-run, disasm, fuzz. *)
+   profile, trace, asm-run, disasm, fuzz, serve, router, client,
+   loadgen. *)
 
 open Cmdliner
 module Scheme = Sempe_core.Scheme
@@ -22,7 +23,6 @@ module Server = Sempe_serve.Server
 module Router = Sempe_serve.Router
 module Client = Sempe_serve.Client
 module Loadgen = Sempe_serve.Loadgen
-module Subproc = Sempe_util.Subproc
 
 let scheme_conv =
   let parse s =
@@ -91,6 +91,14 @@ let with_progress progress f =
   r
 
 let print_json j = print_endline (Json.to_string j)
+
+(* An output file that cannot be created is a runtime failure, exit 1,
+   like an address that cannot be bound. *)
+let writable f path =
+  try f path
+  with Sys_error msg ->
+    Printf.eprintf "cannot write %s\n" msg;
+    exit 1
 
 (* ---- the workload subcommands: one Api request, one Api.run, one
    renderer ---- *)
@@ -358,7 +366,7 @@ let trace_cmd =
   let run scheme workload out jsonl =
     check (Api.Simulate { scheme; workload; strict_oob = false });
     let built, globals, arrays = Api.setup scheme workload in
-    let oc = open_out out in
+    let oc = writable open_out out in
     let sink = if jsonl then Sink.jsonl oc else Sink.perfetto oc in
     let outcome =
       Fun.protect
@@ -430,6 +438,10 @@ let leakage_cmd =
                    exit 124)
                names)
       in
+      Option.iter
+        (fun dir ->
+          if not (Sys.file_exists dir) then writable (fun d -> Sys.mkdir d 0o755) dir)
+        trace_out;
       let results =
         with_progress progress (fun () ->
             Sempe_experiments.Security_exp.measure_attribution ())
@@ -437,13 +449,12 @@ let leakage_cmd =
       (match trace_out with
        | None -> ()
        | Some dir ->
-         if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
          List.iter
            (fun (r : Sempe_experiments.Security_exp.attribution_result) ->
              let file =
                Filename.concat dir (Scheme.name r.a_scheme ^ ".json")
              in
-             let oc = open_out file in
+             let oc = writable open_out file in
              Fun.protect
                ~finally:(fun () -> close_out oc)
                (fun () ->
@@ -505,45 +516,116 @@ let leakage_cmd =
 
 (* ---- report ---- *)
 
+module Exp = Sempe_experiments
+
+(* What [report] shows of one experiment: its JSON document, its CSV dump
+   where it has one, and its text sections (title, body) in print order.
+   [~quick] selects the CI sizes; the ablations, the security matrix and
+   the sampling grid have one size. *)
+type shown = {
+  doc : Json.t;
+  csv : string option;
+  sections : (string * string) list;
+}
+
+let table2 ~quick:_ =
+  let rows = Config.rows Config.default in
+  { doc = Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) rows);
+    csv = None;
+    sections =
+      [ ("Table II - baseline microarchitecture model",
+         Tablefmt.render ~header:[ "parameter"; "value" ]
+           (List.map (fun (k, v) -> [ k; v ]) rows)) ] }
+
+let table1 ~quick =
+  let rows = Exp.Table1.measure ~iters:(if quick then 1 else 2) () in
+  { doc = Exp.Table1.to_json rows; csv = None;
+    sections = [ ("Table I", Exp.Table1.render rows) ] }
+
+let djpeg ~quick =
+  let sizes =
+    if quick then
+      [ { Sempe_workloads.Djpeg.label = "256k"; blocks = 4 };
+        { Sempe_workloads.Djpeg.label = "512k"; blocks = 8 } ]
+    else Sempe_workloads.Djpeg.sizes
+  in
+  let cells = Exp.Djpeg_exp.collect ~sizes () in
+  { doc = Exp.Djpeg_exp.to_json cells; csv = Some (Exp.Djpeg_exp.csv cells);
+    sections =
+      [ ("Figure 8", Exp.Djpeg_exp.render_fig8 cells);
+        ("Figure 9", Exp.Djpeg_exp.render_fig9 cells) ] }
+
+let fig10 ~quick =
+  let series =
+    if quick then Exp.Fig10.sweep ~widths:[ 1; 2; 4 ] ~iters:1 ()
+    else Exp.Fig10.sweep ()
+  in
+  { doc = Exp.Fig10.to_json series; csv = Some (Exp.Fig10.csv series);
+    sections =
+      [ ("Figure 10a", Exp.Fig10.render_a series);
+        ("Figure 10a (cross-kernel average)", Exp.Fig10.render_chart series);
+        ("Figure 10b", Exp.Fig10.render_b series) ] }
+
+let security ~quick:_ =
+  let results = Exp.Security_exp.measure () in
+  { doc = Exp.Security_exp.to_json results; csv = None;
+    sections =
+      [ ("Security matrix (sections III / IV-G)",
+         Exp.Security_exp.render results) ] }
+
+let ablation ~quick:_ =
+  let m = Exp.Ablation.measure () in
+  { doc = Exp.Ablation.to_json m; csv = None;
+    sections = [ ("Ablations (sections IV-E / IV-F)", Exp.Ablation.render m) ] }
+
+let sampling ~quick:_ =
+  let cells = Exp.Sampling_exp.collect () in
+  { doc = Exp.Sampling_exp.to_json cells;
+    csv = Some (Exp.Sampling_exp.csv cells);
+    sections = [ ("Sampled simulation", Exp.Sampling_exp.render cells) ] }
+
+(* The paper's evaluation, in the order [report all] prints it; each name
+   is the experiment's member of [report all --json]. *)
+let paper =
+  [ ("table2", table2); ("table1", table1); ("djpeg", djpeg);
+    ("fig10", fig10); ("security", security); ("ablation", ablation) ]
+
+(* [report NAME]: the experiment, and the one section to print when it
+   renders more than the name asks for. *)
+let experiments =
+  [ ("table1", (table1, None)); ("fig8", (djpeg, Some "Figure 8"));
+    ("fig9", (djpeg, Some "Figure 9")); ("fig10", (fig10, None));
+    ("ablation", (ablation, None)); ("sampling", (sampling, None)) ]
+
 let report_cmd =
-  let run name csv json jobs progress =
+  let run name csv json quick jobs progress =
     set_jobs jobs;
     with_progress progress (fun () ->
-        match name with
-        | "table1" ->
-          let rows = Sempe_experiments.Table1.measure () in
-          if json then print_json (Sempe_experiments.Table1.to_json rows)
-          else print_endline (Sempe_experiments.Table1.render rows)
-        | "fig8" | "fig9" ->
-          let cells = Sempe_experiments.Djpeg_exp.collect () in
-          if json then print_json (Sempe_experiments.Djpeg_exp.to_json cells)
-          else if csv then print_string (Sempe_experiments.Djpeg_exp.csv cells)
-          else if name = "fig8" then
-            print_endline (Sempe_experiments.Djpeg_exp.render_fig8 cells)
-          else print_endline (Sempe_experiments.Djpeg_exp.render_fig9 cells)
-        | "fig10" ->
-          let series = Sempe_experiments.Fig10.sweep () in
-          if json then print_json (Sempe_experiments.Fig10.to_json series)
-          else if csv then print_string (Sempe_experiments.Fig10.csv series)
-          else begin
-            print_endline (Sempe_experiments.Fig10.render_a series);
-            print_endline (Sempe_experiments.Fig10.render_b series)
-          end
-        | "ablation" ->
-          let m = Sempe_experiments.Ablation.measure () in
-          if json then print_json (Sempe_experiments.Ablation.to_json m)
-          else print_endline (Sempe_experiments.Ablation.render m)
-        | "sampling" ->
-          let cells = Sempe_experiments.Sampling_exp.collect () in
-          if json then print_json (Sempe_experiments.Sampling_exp.to_json cells)
-          else if csv then
-            print_string (Sempe_experiments.Sampling_exp.csv cells)
-          else print_endline (Sempe_experiments.Sampling_exp.render cells)
-        | other ->
-          Printf.eprintf
-            "unknown experiment %S (table1, fig8, fig9, fig10, ablation, \
-             sampling)\n"
-            other;
+        match (name, List.assoc_opt name experiments) with
+        | "all", _ when json ->
+          print_json
+            (Json.Obj (List.map (fun (m, e) -> (m, (e ~quick).doc)) paper))
+        | "all", _ ->
+          List.iter
+            (fun (_, e) ->
+              List.iter
+                (fun (title, body) ->
+                  Printf.printf "==== %s ====\n%s\n\n%!" title body)
+                (e ~quick).sections)
+            paper
+        | _, Some (e, only) -> (
+          let shown = e ~quick in
+          match (json, csv, shown.csv) with
+          | true, _, _ -> print_json shown.doc
+          | false, true, Some text -> print_string text
+          | _ ->
+            List.iter
+              (fun (title, body) ->
+                if only = None || only = Some title then print_endline body)
+              shown.sections)
+        | _, None ->
+          Printf.eprintf "unknown experiment %S (%s)\n" name
+            (String.concat ", " ("all" :: List.map fst experiments));
           exit 1)
   in
   let exp_arg =
@@ -552,29 +634,65 @@ let report_cmd =
   let csv_arg =
     Arg.(value & flag & info [ "csv" ] ~doc:"Emit machine-readable CSV instead of tables.")
   in
+  let quick_arg =
+    Arg.(
+      value & flag
+      & info [ "quick" ]
+          ~doc:
+            "CI sizes: Table I at one iteration, djpeg at 4 and 8 blocks, \
+             Figure 10 at W in {1, 2, 4} and one iteration.")
+  in
   Cmd.v
     (Cmd.info "report"
        ~doc:
          "Regenerate one paper table/figure (table1, fig8, fig9, fig10, \
-          ablation) or the sampled-simulation validation grid (sampling).")
-    Term.(const run $ exp_arg $ csv_arg $ json_arg $ jobs_arg $ progress_arg)
+          ablation), the sampled-simulation validation grid (sampling), or \
+          the whole evaluation (all: Table II, Table I, Figures 8-10, the \
+          security matrix and the ablations).")
+    Term.(
+      const run $ exp_arg $ csv_arg $ json_arg $ quick_arg $ jobs_arg
+      $ progress_arg)
 
 (* ---- asm-run: execute an assembly file ---- *)
 
 let asm_run_cmd =
+  (* A program that does not assemble, or that the machine cannot run,
+     is the input's fault: name the file, the line where known and the
+     cause, and exit 1. *)
+  let fail path fmt =
+    Printf.ksprintf
+      (fun msg ->
+        Printf.eprintf "%s: %s\n" path msg;
+        exit 1)
+      fmt
+  in
   let run scheme path json =
-    let ic = open_in path in
-    let len = in_channel_length ic in
-    let src = really_input_string ic len in
-    close_in ic;
-    let prog = Sempe_isa.Asm.parse src in
+    let prog =
+      match In_channel.with_open_bin path In_channel.input_all with
+      | src -> (
+        try Sempe_isa.Asm.parse src with
+        | Sempe_isa.Asm.Error { line; message } ->
+          fail (Printf.sprintf "%s:%d" path line) "%s" message
+        | Invalid_argument msg -> fail path "%s" msg)
+      | exception Sys_error msg -> fail path "cannot read: %s" msg
+    in
     let support = Scheme.support scheme in
     let timing = Timing.create () in
     let config =
       { Sempe_core.Exec.default_config with
         Sempe_core.Exec.support; mem_words = 1 lsl 16 }
     in
-    let res = Sempe_core.Exec.run ~config ~sink:(Timing.feed timing) prog in
+    let res =
+      try Sempe_core.Exec.run ~config ~sink:(Timing.feed timing) prog with
+      | Sempe_core.Jbtable.Overflow ->
+        fail path
+          "jbTable overflow: secure branches nest deeper than its %d entries"
+          config.Sempe_core.Exec.jbtable_entries
+      | Sempe_mem.Spm.Overflow ->
+        fail path "SPM overflow: the open secure branches' snapshots do not fit"
+      | Sempe_core.Exec.Budget_exceeded n ->
+        fail path "instruction budget exceeded after %d instructions" n
+    in
     if json then
       print_json
         (Json.Obj
@@ -1099,7 +1217,7 @@ let loadgen_cmd =
           request was dropped.")
     Term.(const run $ connect_arg $ clients $ requests $ mix $ rate $ json_arg)
 
-(* ---- router / fleet: the sharded serving fleet ---- *)
+(* ---- router: the sharded serving fleet ---- *)
 
 let router_cmd =
   let run listen shards replicas retries backoff_s health_s verbose =
@@ -1183,164 +1301,6 @@ let router_cmd =
       const run $ listen $ shards $ replicas $ retries $ backoff $ health
       $ verbose)
 
-let fleet_cmd =
-  let status_string = function
-    | Unix.WEXITED n -> Printf.sprintf "exit %d" n
-    | Unix.WSIGNALED s -> Printf.sprintf "signal %d" s
-    | Unix.WSTOPPED s -> Printf.sprintf "stop %d" s
-  in
-  let run listen shards dir workers result_entries plan_entries store verbose =
-    let shards = max 1 shards in
-    (try Unix.mkdir dir 0o755
-     with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    let self = Sys.executable_name in
-    let shard_sock i = Filename.concat dir (Printf.sprintf "shard-%d.sock" i) in
-    let children =
-      List.init shards (fun i ->
-          let args =
-            [
-              "serve"; "--listen"; shard_sock i;
-              "--workers"; string_of_int (max 1 workers);
-              "--result-entries"; string_of_int (max 1 result_entries);
-              "--plan-entries"; string_of_int (max 1 plan_entries);
-            ]
-            @ (if store then
-                 [ "--store-dir";
-                   Filename.concat dir (Printf.sprintf "shard-%d.store" i) ]
-               else [])
-            @ if verbose then [ "--verbose" ] else []
-          in
-          Subproc.spawn
-            ~log:(Filename.concat dir (Printf.sprintf "shard-%d.log" i))
-            ~label:(Printf.sprintf "shard-%d" i)
-            self args)
-    in
-    let kill_all () =
-      List.iter (fun c -> ignore (Subproc.terminate c)) children
-    in
-    (* Every shard must bind before the router opens for business. *)
-    let deadline = Unix.gettimeofday () +. 30. in
-    List.iteri
-      (fun i child ->
-        let sock = shard_sock i in
-        let rec poll () =
-          if Sys.file_exists sock then ()
-          else if not (Subproc.alive child) then begin
-            Printf.eprintf "fleet: %s exited before binding %s (see %s)\n"
-              (Subproc.label child) sock
-              (Option.value ~default:"stderr" (Subproc.log_path child));
-            kill_all ();
-            exit 1
-          end
-          else if Unix.gettimeofday () > deadline then begin
-            Printf.eprintf "fleet: timed out waiting for %s\n" sock;
-            kill_all ();
-            exit 1
-          end
-          else begin
-            Unix.sleepf 0.05;
-            poll ()
-          end
-        in
-        poll ())
-      children;
-    let addr = parse_addr listen in
-    let config = { Router.default_config with Router.verbose } in
-    let t =
-      listening listen (fun () ->
-          try
-            Router.start ~config
-              ~shards:(List.init shards (fun i -> Server.Unix_sock (shard_sock i)))
-              addr
-          with e ->
-            kill_all ();
-            raise e)
-    in
-    Printf.eprintf "sempe-sim fleet: %d shard(s) up, router on %s\n%!" shards
-      (Listener.addr_to_string (Router.addr t));
-    let on_signal _ = Router.request_stop t in
-    Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-    Router.wait t;
-    (* Belt and braces: a client [shutdown] already drained the shards;
-       a signal has not. Either way every child gets a graceful stop (the
-       TERM window is where a shard flushes its store). *)
-    Router.drain_fleet t;
-    let failed = ref false in
-    List.iter
-      (fun c ->
-        match Subproc.terminate ~grace_s:30. c with
-        | Unix.WEXITED 0 -> ()
-        | st ->
-          failed := true;
-          Printf.eprintf "fleet: %s ended with %s\n" (Subproc.label c)
-            (status_string st))
-      children;
-    Printf.eprintf "sempe-sim fleet: stopped\n%!";
-    if !failed then exit 1
-  in
-  let listen =
-    Arg.(
-      value & opt string "sempe-router.sock"
-      & info [ "listen"; "l" ] ~docv:"ADDR"
-          ~doc:"Router listen address (the fleet's single front door).")
-  in
-  let shards =
-    Arg.(
-      value & opt int 2
-      & info [ "shards" ] ~docv:"N" ~doc:"Number of shard daemons to run.")
-  in
-  let dir =
-    Arg.(
-      value & opt string "sempe-fleet"
-      & info [ "dir" ] ~docv:"DIR"
-          ~doc:
-            "Runtime directory: shard sockets, per-shard logs and (with \
-             $(b,--store)) per-shard cache stores live here.")
-  in
-  let workers =
-    Arg.(
-      value & opt int Server.default_config.Server.workers
-      & info [ "workers"; "j" ] ~docv:"N"
-          ~doc:"Simulation worker domains per shard.")
-  in
-  let result_entries =
-    Arg.(
-      value & opt int Server.default_config.Server.result_entries
-      & info [ "result-entries" ] ~docv:"N"
-          ~doc:"Response cache capacity per shard.")
-  in
-  let plan_entries =
-    Arg.(
-      value & opt int Server.default_config.Server.plan_entries
-      & info [ "plan-entries" ] ~docv:"N"
-          ~doc:"Checkpoint-plan cache capacity per shard.")
-  in
-  let store =
-    Arg.(
-      value & flag
-      & info [ "store" ]
-          ~doc:
-            "Give each shard a persistent cache store under $(b,--dir), \
-             flushed on drain and reloaded on the next start.")
-  in
-  let verbose =
-    Arg.(
-      value & flag
-      & info [ "verbose" ] ~doc:"Verbose shards and router.")
-  in
-  Cmd.v
-    (Cmd.info "fleet"
-       ~doc:
-         "Run a self-contained serving fleet: N $(b,serve) shard processes \
-          on unix sockets under a runtime directory, fronted by an \
-          in-process $(b,router). SIGTERM (or a client $(b,shutdown)) \
-          drains every shard — in-flight work finishes and cache stores \
-          are flushed — before the fleet exits.")
-    Term.(
-      const run $ listen $ shards $ dir $ workers $ result_entries
-      $ plan_entries $ store $ verbose)
-
 let () =
   let info =
     Cmd.info "sempe-sim" ~version:"1.0"
@@ -1352,6 +1312,6 @@ let () =
           [
             config_cmd; microbench_cmd; djpeg_cmd; rsa_cmd; sample_cmd;
             leakage_cmd; report_cmd; profile_cmd; trace_cmd; disasm_cmd;
-            asm_run_cmd; fuzz_cmd; serve_cmd; router_cmd; fleet_cmd;
-            client_cmd; loadgen_cmd;
+            asm_run_cmd; fuzz_cmd; serve_cmd; router_cmd; client_cmd;
+            loadgen_cmd;
           ]))

@@ -1,13 +1,14 @@
 #!/bin/sh
 # CI entry point: type-check, build, run the test suites (golden outputs
-# included), then the lint check on the build profile, the compare-free
-# and inlined-path guards on the simulator core, the -j determinism
-# sweep, the perf-regression gate, the sampled-simulation smoke, the
-# differential fuzz smoke, the serving smokes and the benchmark smoke.
-# `dune build @ci` runs the same build/test/sweep/smoke checks as a
-# single dune invocation; the perf gate compares wall-clock
-# rates and the benchmark smoke drives dune itself, so both run here
-# (and in the GitHub workflow), not under dune.
+# included: the paper tables of `report all --quick` are diffed at -j 1
+# and at -j 2 there), then the lint check on the build profile, the
+# compare-free and inlined-path guards on the simulator core, the
+# perf-regression gate, the sampled-simulation smoke, the differential
+# fuzz smoke, the serving smokes and the benchmark smoke. `dune build
+# @ci` runs the same build/test/smoke checks as a single dune
+# invocation; the perf gate compares wall-clock rates and the benchmark
+# smoke drives dune itself, so both run here (and in the GitHub
+# workflow), not under dune.
 set -eu
 cd "$(dirname "$0")"
 
@@ -73,38 +74,21 @@ objdump -dr "$timing" | awk '
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
-echo "== determinism sweep: bench quick, -j 1 vs -j 2"
-# Run each bench to completion before filtering: piping straight into
-# sed would mask a non-zero bench exit under `set -eu` (sed exits 0
-# regardless). The trailing bechamel micro-benchmark section measures
-# wall time and is legitimately nondeterministic; the sweep compares
-# everything before it.
-./_build/default/bench/main.exe quick -j 1 --runs 3 \
-  --bench-json "$out/bench.json" > "$out/j1.raw"
-./_build/default/bench/main.exe quick -j 2 > "$out/j2.raw"
-sed -n '/Component micro-benchmarks/q;p' "$out/j1.raw" > "$out/j1.txt"
-sed -n '/Component micro-benchmarks/q;p' "$out/j2.raw" > "$out/j2.txt"
-diff -u "$out/j1.txt" "$out/j2.txt"
-
-echo "== perf gate: quick rates vs bench/baseline.json"
-# Reuses the perf records the -j 1 sweep run just wrote (median of
-# --runs 3 timed repeats per record). The committed baseline's absolute
-# rates are machine-dependent, so the tolerance absorbs host-to-host
-# noise — but the packed-array/staged-dispatch rewrite cut per-instr
-# work enough that 25% now holds on a loaded box (it used to need 60%);
-# refresh with
-#   dune exec bench/main.exe -- quick --bench-json bench/baseline.json
+echo "== perf gate: simulation rates vs bench/baseline.json"
+# The rate records are the median of --runs 3 timed repeats each, and
+# bench also runs the sampler's band and exactness smoke. The committed
+# baseline's absolute rates are machine-dependent, so the tolerance
+# absorbs host-to-host noise — but the packed-array/staged-dispatch
+# rewrite cut per-instr work enough that 25% now holds on a loaded box
+# (it used to need 60%); refresh with
+#   dune exec bench/main.exe -- --bench-json bench/baseline.json
 # --min-work rejects records measured over too few instructions to
 # carry a meaningful rate. The gate also fails any sampled record that
 # is slower than its full sibling, whatever the baseline says.
+./_build/default/bench/main.exe --runs 3 --bench-json "$out/bench.json" \
+  > "$out/bench.txt"
 ./_build/default/bench/main.exe gate --baseline bench/baseline.json \
   --current "$out/bench.json" --tolerance 25 --min-work 100000
-
-echo "== hot-path allocation smoke: probe-free modes stay allocation-free"
-# Functional, warm, and full-detailed simulation must not allocate per
-# instruction (closure creep in the dispatch loop shows up here first);
-# only probe-attached runs are allowed to build event records.
-./_build/default/bench/hotpath.exe --iters 150 --assert-alloc
 
 echo "== sampling smoke: fibonacci, 25% coverage, -j 1 vs -j 2"
 # The document is byte-identical at any -j (wall-clock figures go to

@@ -104,6 +104,21 @@ let render_a series =
   in
   String.concat "\n\n" blocks
 
+(* The paper's figure as one chart: the cross-kernel average slowdown over
+   the baseline per W, SeMPE against CTE. *)
+let render_chart series =
+  let average cycles =
+    cross_kernel_average series ~f:(fun p ->
+        slowdown (cycles p) p.baseline_cycles)
+  in
+  Tablefmt.chart ~title:"average slowdown vs baseline" ~xlabel:"W"
+    ~series:
+      [
+        ("SeMPE", average (fun p -> p.sempe_cycles));
+        ("CTE", average (fun p -> p.cte_cycles));
+      ]
+    ~log_y:true ()
+
 let render_b series =
   let widths =
     match series with [] -> [] | s :: _ -> List.map (fun p -> p.width) s.points

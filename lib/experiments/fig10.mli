@@ -20,6 +20,11 @@ val sweep : ?widths:int list -> ?iters:int -> unit -> series list
 (** Defaults: W in 1..10, 3 iterations; one series per kernel. *)
 
 val render_a : series list -> string
+
+val render_chart : series list -> string
+(** The cross-kernel summary of (a): per W, the average SeMPE and CTE
+    slowdown over the baseline ({!cross_kernel_average}). *)
+
 val render_b : series list -> string
 
 val cross_kernel_average : f:(point -> float) -> series list -> (float * float) list

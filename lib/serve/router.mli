@@ -83,14 +83,8 @@ val addr : t -> Listener.addr
 
 val request_stop : t -> unit
 (** Ask the router to stop; safe from signal handlers. The shutdown
-    itself happens in {!wait} / {!stop}. Does not touch the shards —
-    use {!drain_fleet} first for a full fleet shutdown. *)
-
-val drain_fleet : t -> unit
-(** Send every shard a [shutdown] op (best-effort, synchronous): each
-    shard drains its in-flight work, flushes its store and exits. The
-    client-visible [shutdown] op does exactly this before stopping the
-    router. *)
+    itself happens in {!wait} / {!stop}. Does not touch the shards: the
+    client-visible [shutdown] op drains them first. *)
 
 val stop : t -> unit
 (** Graceful shutdown of the router itself: stop accepting, let

@@ -1,6 +1,6 @@
 (** ASCII rendering of result tables and simple line charts.
 
-    The benchmark harness prints each paper table/figure as an aligned text
+    [sempe-sim report] prints each paper table/figure as an aligned text
     table (and, for the figures, an optional log-scale sparkline) so the
     regenerated rows can be compared with the paper side by side. *)
 

@@ -25,6 +25,11 @@ let run exe args =
       let text = In_channel.with_open_text out In_channel.input_all in
       (code, text))
 
+(* A path inside a directory that does not exist. *)
+let missing_dir_file name =
+  Filename.concat (Filename.get_temp_dir_name ())
+    (Printf.sprintf "sempe-missing-%d/%s" (Unix.getpid ()) name)
+
 type expect =
   | Non_empty  (** human-readable output: anything on stdout *)
   | Json_with of string list  (** a JSON document carrying these members *)
@@ -135,9 +140,16 @@ let sim_table =
       1,
       Ignore_output );
     ( "serve on an unbindable address fails",
-      [ "serve"; "--listen";
-        Filename.concat (Filename.get_temp_dir_name ())
-          (Printf.sprintf "sempe-missing-%d/x.sock" (Unix.getpid ())) ],
+      [ "serve"; "--listen"; missing_dir_file "x.sock" ],
+      1,
+      Ignore_output );
+    (* So is an output path that cannot be created. *)
+    ( "trace to an unwritable path fails",
+      [ "trace"; "rsa"; "-o"; missing_dir_file "x.json" ],
+      1,
+      Ignore_output );
+    ( "leakage --trace-out to an unwritable path fails",
+      [ "leakage"; "--attribute"; "--trace-out"; missing_dir_file "traces" ],
       1,
       Ignore_output );
     ( "loadgen rejects an unknown mix element",
@@ -172,6 +184,30 @@ let sim_case (name, args, expected_code, expect) =
       let code, stdout = run sim_exe args in
       Alcotest.(check int) (name ^ ": exit code") expected_code code;
       check_expect name expect stdout)
+
+(* ---- asm-run on programs that do not assemble or cannot run: a
+   message naming the file, and exit 1 ---- *)
+
+let asm_case name src =
+  Alcotest.test_case name `Quick (fun () ->
+      let file = Filename.temp_file "sempe-asm" ".s" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove file)
+        (fun () ->
+          Out_channel.with_open_text file (fun oc -> output_string oc src);
+          let code, stdout = run sim_exe [ "asm-run"; file ] in
+          Alcotest.(check int) (name ^ ": exit code") 1 code;
+          Alcotest.(check string) (name ^ ": no report") "" stdout))
+
+let asm_table =
+  [
+    asm_case "asm-run rejects an unknown mnemonic" "bogus r1\nhalt\n";
+    (* a secure branch back to its own body opens a new jbTable entry on
+       every iteration, until the table overflows *)
+    asm_case "asm-run reports a jbTable overflow"
+      "li r10, 0\nli r11, 50\nloop: addi r10, r10, 1\n\
+       sble r10, r11, loop\neosjmp\nhalt\n";
+  ]
 
 (* ---- the bench perf gate, against handcrafted record files ---- *)
 
@@ -334,5 +370,6 @@ let leakage_attribute_json =
 
 let tests =
   List.map sim_case sim_table
+  @ asm_table
   @ gate_table
   @ [ gate_malformed; trace_perfetto; leakage_attribute_json ]

@@ -45,7 +45,7 @@ let test_map_product_grouping () =
 
 let test_fig10_cross_kernel_average_missing_width () =
   (* Regression: a series missing a sampled width used to make the
-     cross-kernel average in bench/main.ml raise Not_found. *)
+     cross-kernel average behind Fig10.render_chart raise Not_found. *)
   let p width baseline sempe =
     {
       Fig10.width;

@@ -308,6 +308,55 @@ let test_report_allocation () =
     true
     (w <= 256.)
 
+let test_hot_path_allocation () =
+  (* The probe-free simulation modes allocate nothing per instruction: a
+     closure or an event record per µop would cost about 2 words per
+     instruction, while the per-run fixed cost (session setup, the report)
+     spreads to ~0.02-0.03 words over Fibonacci at W=4 and 150
+     iterations, 960,946 instructions. The minimum of three runs, as
+     above. *)
+  let module Exec = Sempe_core.Exec in
+  let module Harness = Sempe_workloads.Harness in
+  let module MB = Sempe_workloads.Microbench in
+  let spec = { MB.kernel = Sempe_workloads.Kernels.fibonacci; width = 4; iters = 150 } in
+  let built = Harness.build Sempe_core.Scheme.Sempe (MB.program ~ct:false spec) in
+  let init_mem =
+    Harness.init_mem_of built
+      ~globals:(MB.secrets_for_leaf ~width:4 ~leaf:1)
+      ~arrays:[]
+  in
+  let prog = built.Harness.prog in
+  let config = { Exec.default_config with Exec.mem_words = 1 lsl 20 } in
+  let modes =
+    [
+      ("functional", fun () -> Exec.run ~config ~init_mem prog);
+      ( "functional + warm",
+        fun () ->
+          let warm = Sempe_pipeline.Warm.create () in
+          Exec.finish (Exec.start ~config ~init_mem ~warm prog) );
+      ( "full detailed",
+        fun () ->
+          let timing = Timing.create () in
+          Exec.run ~config ~init_mem ~sink:(Timing.feed timing) prog );
+    ]
+  in
+  List.iter
+    (fun (name, run) ->
+      let per_instr () =
+        let before = Gc.minor_words () in
+        let res = run () in
+        let after = Gc.minor_words () in
+        Alcotest.(check int) (name ^ " instructions") 960_946 res.Exec.dyn_instrs;
+        (after -. before) /. float_of_int res.Exec.dyn_instrs
+      in
+      let w =
+        List.fold_left Float.min infinity (List.init 3 (fun _ -> per_instr ()))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s allocates %.3f words/instr <= 0.05" name w)
+        true (w <= 0.05))
+    modes
+
 let test_retire_width_bound () =
   (* Nothing retires faster than retire_width per cycle. *)
   let n = 2400 in
@@ -341,6 +390,7 @@ let tests =
     Alcotest.test_case "port ring grows exactly" `Quick test_port_ring_grows;
     Alcotest.test_case "create allocation" `Quick test_create_allocation;
     Alcotest.test_case "report allocation" `Quick test_report_allocation;
+    Alcotest.test_case "hot path allocation" `Quick test_hot_path_allocation;
     Alcotest.test_case "retire width bound" `Quick test_retire_width_bound;
     Alcotest.test_case "report consistency" `Quick test_report_consistency;
   ]

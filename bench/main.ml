@@ -10,47 +10,18 @@
    `--bench-json FILE` writes the records as machine-readable JSON;
    `--runs N` (default 3) takes the median of N timed repeats of each
    measurement. `gate --baseline FILE [--current FILE] [--tolerance PCT]
-   [--min-work N]` compares two such record sets and exits non-zero on a
-   rate regression or on a record measured over fewer than N
-   instructions: the CI perf gate. *)
+   [--runs N] [--min-work N]` compares two such record sets and exits
+   non-zero on a rate regression or on a record measured over fewer than
+   N instructions: the CI perf gate. Arguments are parsed by cmdliner: an
+   unknown argument, a flag without its value or a value out of range
+   exits 124 with usage on stderr. *)
 
+open Cmdliner
 module Tablefmt = Sempe_util.Tablefmt
 module Harness = Sempe_workloads.Harness
 module Sampling = Sempe_sampling.Sampling
 module Pool = Sempe_util.Pool
 module Json = Sempe_obs.Json
-
-let arg_after name =
-  let rec scan i =
-    if i + 1 >= Array.length Sys.argv then None
-    else if Sys.argv.(i) = name then Some Sys.argv.(i + 1)
-    else scan (i + 1)
-  in
-  scan 1
-
-let bench_json = arg_after "--bench-json"
-
-let runs =
-  match arg_after "--runs" with
-  | None -> 3
-  | Some s -> (
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> n
-    | _ ->
-      Printf.eprintf "[bench] --runs expects a positive integer, got %S\n%!" s;
-      exit 2)
-
-let min_work =
-  match arg_after "--min-work" with
-  | None -> 100_000
-  | Some s -> (
-    match int_of_string_opt s with
-    | Some n when n >= 0 -> n
-    | _ ->
-      Printf.eprintf
-        "[gate] --min-work expects a non-negative instruction count, got %S\n%!"
-        s;
-      exit 2)
 
 (* ---- simulation rate: full vs sampled ---- *)
 
@@ -84,7 +55,7 @@ let perf_record_json r =
    its wall-clock win once the run is long enough to amortize its
    pool/checkpoint fixed costs, which is also the only regime anyone
    should sample in. *)
-let measure_perf () =
+let measure_perf ~runs =
   let sample_cfg coverage =
     { Sampling.default_config with Sampling.coverage }
   in
@@ -214,8 +185,8 @@ let measure_perf () =
     workloads;
   (List.rev !records, List.rev !smoke_failures)
 
-let perf () =
-  let records, smoke_failures = measure_perf () in
+let perf runs bench_json =
+  let records, smoke_failures = measure_perf ~runs in
   Printf.printf "==== %s ====\n%s\n\n%!"
     "Simulation rate (full vs sampled, 10% coverage)"
     (Tablefmt.render
@@ -303,32 +274,13 @@ let gate_recs_of_file file =
     Printf.eprintf "[gate] %s: expected a JSON list of perf records\n%!" file;
     exit 2
 
-let run_gate () =
-  let baseline_file =
-    match arg_after "--baseline" with
-    | Some f -> f
-    | None ->
-      Printf.eprintf
-        "usage: bench/main.exe gate --baseline FILE [--current FILE] \
-         [--tolerance PCT] [--runs N] [--min-work N]\n%!";
-      exit 2
-  in
-  let tolerance =
-    match arg_after "--tolerance" with
-    | None -> 20.0
-    | Some s -> (
-      match float_of_string_opt s with
-      | Some t when t >= 0.0 -> t
-      | _ ->
-        Printf.eprintf "[gate] --tolerance expects a non-negative number, got %S\n%!" s;
-        exit 2)
-  in
+let run_gate runs min_work baseline_file current tolerance =
   let baseline = gate_recs_of_file baseline_file in
   let current, current_src =
-    match arg_after "--current" with
+    match current with
     | Some f -> (gate_recs_of_file f, f)
     | None ->
-      let records, smokes = measure_perf () in
+      let records, smokes = measure_perf ~runs in
       List.iter (Printf.eprintf "[gate] sampling smoke FAILED: %s\n%!") smokes;
       if smokes <> [] then exit 1;
       ( List.map
@@ -410,5 +362,67 @@ let run_gate () =
     exit 1
   end
 
+(* ---- command line ---- *)
+
+let at_least lo conv what =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when v >= lo -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "expected %s, got %s" what s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let runs_arg =
+  Arg.(
+    value
+    & opt (at_least 1 int "a positive integer") 3
+    & info [ "runs" ] ~docv:"N"
+        ~doc:"Timed repeats per measurement; each record is their median.")
+
+let bench_json_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "bench-json" ] ~docv:"FILE"
+        ~doc:"Also write the records to $(docv) as a JSON list.")
+
+let gate_cmd =
+  let baseline =
+    Arg.(
+      required
+      & opt (some string) None
+      & info [ "baseline" ] ~docv:"FILE" ~doc:"The committed records.")
+  in
+  let current =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "current" ] ~docv:"FILE"
+          ~doc:"Records to gate; without it, a fresh measurement.")
+  in
+  let tolerance =
+    Arg.(
+      value
+      & opt (at_least 0. float "a non-negative number") 20.
+      & info [ "tolerance" ] ~docv:"PCT"
+          ~doc:"Largest rate drop below the baseline that passes, in percent.")
+  in
+  let min_work =
+    Arg.(
+      value
+      & opt (at_least 0 int "a non-negative instruction count") 100_000
+      & info [ "min-work" ] ~docv:"N"
+          ~doc:"Fail any current record measured over fewer instructions.")
+  in
+  Cmd.v
+    (Cmd.info "gate" ~doc:"Compare rate records against a baseline.")
+    Term.(const run_gate $ runs_arg $ min_work $ baseline $ current $ tolerance)
+
 let () =
-  if Array.exists (( = ) "gate") Sys.argv then run_gate () else perf ()
+  exit
+    (Cmd.eval
+       (Cmd.group
+          ~default:Term.(const perf $ runs_arg $ bench_json_arg)
+          (Cmd.info "bench" ~doc:"Simulation-rate records and the perf gate.")
+          [ gate_cmd ]))

@@ -580,6 +580,8 @@ let ablation ~quick:_ =
 
 let sampling ~quick:_ =
   let cells = Exp.Sampling_exp.collect () in
+  (* wall clock goes to stderr: stdout stays byte-identical at any -j *)
+  prerr_endline (Exp.Sampling_exp.render_wall cells);
   { doc = Exp.Sampling_exp.to_json cells;
     csv = Some (Exp.Sampling_exp.csv cells);
     sections = [ ("Sampled simulation", Exp.Sampling_exp.render cells) ] }
@@ -902,8 +904,8 @@ let listening listen start =
     exit 1
 
 let serve_cmd =
-  let run listen workers result_entries plan_entries timeout_s max_connections
-      store_dir verbose =
+  let run listen workers result_entries timeout_s max_connections store_dir
+      verbose =
     let addr = parse_addr listen in
     (* Leakage requests sweep the scheme grid on the process-wide Batch
        pool; keep it sequential so concurrent requests do not
@@ -914,7 +916,6 @@ let serve_cmd =
         Server.default_config with
         Server.workers = max 1 workers;
         result_entries = max 1 result_entries;
-        plan_entries = max 1 plan_entries;
         timeout_s;
         max_connections = max 1 max_connections;
         store_dir;
@@ -950,12 +951,6 @@ let serve_cmd =
       value & opt int Server.default_config.Server.result_entries
       & info [ "result-entries" ] ~docv:"N" ~doc:"Response cache capacity.")
   in
-  let plan_entries =
-    Arg.(
-      value & opt int Server.default_config.Server.plan_entries
-      & info [ "plan-entries" ] ~docv:"N"
-          ~doc:"Sampling checkpoint-plan cache capacity.")
-  in
   let timeout =
     Arg.(
       value & opt float Server.default_config.Server.timeout_s
@@ -975,9 +970,9 @@ let serve_cmd =
       value & opt (some string) None
       & info [ "store-dir" ] ~docv:"DIR"
           ~doc:
-            "Persistent cache store: both caches are reloaded from $(docv) \
-             on start and flushed back on graceful shutdown, so a restarted \
-             daemon serves warm from its first request.")
+            "Persistent cache store: the response cache is reloaded from \
+             $(docv) on start and flushed back on graceful shutdown, so a \
+             restarted daemon serves warm from its first request.")
   in
   let verbose =
     Arg.(
@@ -988,12 +983,12 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Run the simulation daemon: a length-prefixed JSON protocol over a \
-          unix or TCP socket, with content-addressed response and \
-          checkpoint-plan caches (cost-aware eviction, optional on-disk \
-          persistence) and in-flight request coalescing. The daemon trusts \
-          its clients; see the Serving section of the README.")
+          unix or TCP socket, with a content-addressed response cache \
+          (cost-aware eviction, optional on-disk persistence) and \
+          in-flight request coalescing. The daemon trusts its clients; \
+          see the Serving section of the README.")
     Term.(
-      const run $ listen $ workers $ result_entries $ plan_entries $ timeout
+      const run $ listen $ workers $ result_entries $ timeout
       $ max_connections $ store_dir $ verbose)
 
 let client_cmd =
@@ -1295,7 +1290,7 @@ let router_cmd =
        ~doc:
          "Front a fleet of $(b,serve) shards behind one address: requests \
           are consistent-hashed onto shards (so repeats always hit the same \
-          shard's caches) and relayed byte-for-byte, with retry, failover \
+          shard's cache) and relayed byte-for-byte, with retry, failover \
           and health checking. The $(b,shutdown) op drains the whole fleet.")
     Term.(
       const run $ listen $ shards $ replicas $ retries $ backoff $ health

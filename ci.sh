@@ -74,6 +74,12 @@ objdump -dr "$timing" | awk '
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
+echo "== bench arguments: an unknown flag is an error, not a default"
+if ./_build/default/bench/main.exe --bench-jsn /dev/null 2> /dev/null; then
+  echo "bench/main.exe accepted the unknown flag --bench-jsn"
+  exit 1
+fi
+
 echo "== perf gate: simulation rates vs bench/baseline.json"
 # The rate records are the median of --runs 3 timed repeats each, and
 # bench also runs the sampler's band and exactness smoke. The committed

@@ -134,7 +134,8 @@ await_sock "$sock"
   --json > "$out/persist-cold.json"
 kill -TERM "$srv"
 wait "$srv"
-test -f "$store/responses.v1.jsonl"
+# The flush writes one file, the response store, and nothing else.
+test "$(ls -A "$store")" = "responses.v1.jsonl"
 "$sim" serve --listen "$sock" --workers 2 --store-dir "$store" \
   2>> "$out/persist.log" &
 srv=$!

@@ -15,10 +15,11 @@ type t = {
       (the branch predictor side channel of §I). *)
   save_state : unit -> string;
   (** The mutable internal state as a plain-data [Marshal] string — no
-      closures, so the bytes survive [Marshal] without [Closures] and are
-      not tied to the producing binary. Paired with {!load_state} this is
-      what lets a sampling checkpoint revive a warmed predictor inside a
-      freshly constructed instance. *)
+      closures, so [Marshal] needs no [Closures] flag. Paired with
+      {!load_state} this is what lets a sampling checkpoint revive a
+      warmed predictor inside a freshly constructed instance. The bytes
+      never leave the process that produced them: {!load_state} trusts
+      them, and [Marshal]'s format is tied to the compiler. *)
   load_state : string -> unit;
   (** Overwrite the internal state with bytes from {!save_state} of an
       instance created with the same configuration.

@@ -118,7 +118,6 @@ let render cells =
             c.estimate.Sampling.cycles_high;
           Tablefmt.percent (error c);
           (if in_bound c then "yes" else "NO");
-          Tablefmt.times (speedup c);
         ])
       cells
   in
@@ -127,22 +126,35 @@ let render cells =
       ~header:
         [
           "workload"; "coverage"; "full"; "estimate"; "90% band"; "error";
-          "in-bound"; "speedup";
+          "in-bound";
         ]
       rows
+
+let render_wall cells =
+  Tablefmt.render
+    ~header:[ "workload"; "coverage"; "full s"; "sampled s"; "speedup" ]
+    (List.map
+       (fun c ->
+         [
+           c.workload;
+           Tablefmt.percent c.coverage;
+           Printf.sprintf "%.3f" c.full_s;
+           Printf.sprintf "%.3f" c.sampled_s;
+           Tablefmt.times (speedup c);
+         ])
+       cells)
 
 let csv cells =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
-    "workload,coverage,full_cycles,estimate,low,high,error,in_bound,full_s,sampled_s,speedup\n";
+    "workload,coverage,full_cycles,estimate,low,high,error,in_bound\n";
   List.iter
     (fun c ->
       Buffer.add_string buf
-        (Printf.sprintf "%s,%.3f,%d,%d,%d,%d,%.5f,%b,%.4f,%.4f,%.2f\n"
-           c.workload c.coverage c.full_cycles
-           c.estimate.Sampling.cycles_estimate c.estimate.Sampling.cycles_low
-           c.estimate.Sampling.cycles_high (error c) (in_bound c) c.full_s
-           c.sampled_s (speedup c)))
+        (Printf.sprintf "%s,%.3f,%d,%d,%d,%d,%.5f,%b\n" c.workload c.coverage
+           c.full_cycles c.estimate.Sampling.cycles_estimate
+           c.estimate.Sampling.cycles_low c.estimate.Sampling.cycles_high
+           (error c) (in_bound c)))
     cells;
   Buffer.contents buf
 
@@ -157,9 +169,6 @@ let to_json cells =
              ("full_cycles", Json.Int c.full_cycles);
              ("error", Json.Float (error c));
              ("in_bound", Json.Bool (in_bound c));
-             ("full_s", Json.Float c.full_s);
-             ("sampled_s", Json.Float c.sampled_s);
-             ("speedup", Json.Float (speedup c));
              ("estimate", Sampling.to_json c.estimate);
            ])
        cells)

@@ -1,14 +1,15 @@
 (** Validation grid for the sampled-simulation engine: every workload is
     simulated once in full (the reference cycle count) and once per
     coverage level with {!Sempe_sampling.Sampling}, and the table reports
-    the relative error, whether the reference landed inside the sampler's
-    error band, and the wall-clock speedup.
+    the relative error and whether the reference landed inside the
+    sampler's error band.
 
     The grid covers the djpeg formats (at a reduced block count so the
     full reference runs stay affordable) plus one microbenchmark chain,
     all under the SeMPE scheme. Workloads fan out through {!Batch};
-    within a job the sampler runs with [workers:1], so the grid is
-    deterministic apart from the wall-clock columns. *)
+    within a job the sampler runs with [workers:1], so {!render}, {!csv}
+    and {!to_json} are the same on every run and at any [-j]. The
+    wall-clock figures are kept apart, in {!render_wall}. *)
 
 type cell = {
   workload : string;
@@ -47,3 +48,8 @@ val collect :
 val render : cell list -> string
 val csv : cell list -> string
 val to_json : cell list -> Sempe_obs.Json.t
+
+val render_wall : cell list -> string
+(** The wall-clock seconds of each cell's full and sampled runs and the
+    speedup, as a table. These differ run to run, so they are not in
+    {!render}, {!csv} or {!to_json}. *)

@@ -8,8 +8,9 @@ module Warm = Sempe_pipeline.Warm
    else (registers, jbTable, register snapshots, SPM) is serialized as-is,
    and the warm microarchitectural state goes through {!Warm.freeze} into
    a closure-free image of flat arrays and scalars. Nothing in the payload
-   holds a closure, so plain [Marshal] suffices and the bytes are not
-   tied to the producing binary. *)
+   holds a closure, so plain [Marshal] suffices. The bytes never leave
+   the process that produced them: [restore] trusts them, and [Marshal]'s
+   format is tied to the compiler and to the payload's type. *)
 type payload = {
   arch : Exec.arch; (* with the memory swapped for an empty one *)
   warm : Warm.frozen;

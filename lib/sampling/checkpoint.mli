@@ -15,8 +15,10 @@
     passed through {!Sempe_pipeline.Warm.freeze} into a closure-free
     image of flat arrays), so restoring it — possibly several times,
     possibly in other domains — always yields an independent deep copy:
-    parallel measurement jobs never share mutable state. Nothing in the
-    payload is tied to the producing binary. *)
+    parallel measurement jobs never share mutable state. The bytes never
+    leave the process that produced them: {!restore} trusts them, and
+    [Marshal]'s format is tied to the compiler and to the payload's
+    type, so a checkpoint is not a storage or wire format. *)
 
 type t
 

@@ -18,11 +18,10 @@ let default_config = { interval = 20_000; coverage = 0.25; warmup = 2_000; offse
 
 (* A reusable record of the fast-forward pass: the checkpoints selected
    for measurement plus the exact dynamic instruction count. Reviving a
-   plan skips the sequential functional pass entirely — the serving
-   layer's checkpoint cache keys these by (program, inputs, boundary
-   config) fingerprints. The plan pins the boundary-defining parameters
-   so a mismatched revival is rejected instead of silently measuring the
-   wrong intervals. *)
+   plan skips the sequential functional pass entirely. The plan pins the
+   boundary-defining parameters so a mismatched revival is rejected
+   instead of silently measuring the wrong intervals. A plan lives only
+   in the process that recorded it. *)
 type plan = {
   p_interval : int;
   p_warmup : int;
@@ -32,38 +31,6 @@ type plan = {
   p_instructions : int;
   p_bytes : int;
 }
-
-let plan_points p = List.length p.p_points
-let plan_instructions p = p.p_instructions
-let plan_bytes p = p.p_bytes
-
-(* ---- plan serialization ----
-
-   A plan is plain data end to end: scalars plus [Checkpoint.t] values,
-   which are themselves closure-free byte strings (the warm state goes
-   through [Warm.freeze] into flat arrays before checkpointing). Plain
-   [Marshal] therefore produces an image that is not tied to the
-   producing binary; the version-bearing magic header is what gates a
-   reload — bump it whenever the plan or checkpoint layout changes and
-   stale store files quietly fail to parse instead of misloading. *)
-
-let plan_magic = "sempe-plan.v1\n"
-
-let plan_to_bytes p = plan_magic ^ Marshal.to_string p []
-
-let plan_of_bytes s =
-  let mlen = String.length plan_magic in
-  if String.length s < mlen || String.sub s 0 mlen <> plan_magic then
-    Error "not a sempe-plan.v1 image (wrong magic or version)"
-  else
-    match (Marshal.from_string s mlen : plan) with
-    | p ->
-      if
-        p.p_interval <= 0 || p.p_stride <= 0 || p.p_warmup < 0
-        || p.p_offset < 0 || p.p_instructions < 0 || p.p_bytes < 0
-      then Error "plan image carries out-of-range parameters"
-      else Ok p
-    | exception _ -> Error "truncated or corrupt plan image"
 
 type estimate = {
   instructions : int;

@@ -69,36 +69,11 @@ type plan
     for measurement, the exact dynamic instruction count, and the
     boundary-defining parameters (interval, warmup, stride, offset) they
     were taken under. Reviving a plan through {!estimate}'s [?plan] skips
-    the sequential functional-warming pass entirely — this is what the
-    serving daemon's checkpoint cache stores, keyed by fingerprints of
-    the program, its inputs, and the boundary configuration. A plan is
-    only meaningful for the exact program/inputs/machine it was recorded
+    the sequential functional-warming pass entirely. A plan is only
+    meaningful for the exact program/inputs/machine it was recorded
     from; the boundary parameters are validated on revival, the rest is
-    the caller's cache key. *)
-
-val plan_points : plan -> int
-(** Number of checkpointed measurement intervals. *)
-
-val plan_instructions : plan -> int
-(** Total dynamic instruction count recorded by the pass. *)
-
-val plan_bytes : plan -> int
-(** Serialized checkpoint volume (telemetry, mirrors
-    [estimate.checkpoint_bytes]). *)
-
-val plan_to_bytes : plan -> string
-(** Self-contained, versioned image of a plan: a magic/version header
-    followed by a closure-free serialization (checkpoints are already
-    flat byte strings, so nothing in the image is tied to the producing
-    binary). This is what the serving daemon's persistent plan store
-    writes to disk. *)
-
-val plan_of_bytes : string -> (plan, string) result
-(** Reload a {!plan_to_bytes} image. [Error] (never an exception) on a
-    wrong or outdated magic header, a truncated or corrupt payload, or
-    out-of-range boundary parameters — a stale store file from an older
-    layout is skipped, not misloaded. Images are trusted local state
-    (the daemon's own store directory), not untrusted network input. *)
+    the caller's to match. A plan has no serialized form: it lives in
+    the process that recorded it. *)
 
 type estimate = {
   instructions : int;  (** total dynamic instructions (exact; from the

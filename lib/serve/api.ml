@@ -182,7 +182,7 @@ let full_cycles scheme workload ~strict_oob =
   Run.cycles
     (Harness.run ~forgiving_oob:(not strict_oob) ~globals ~arrays built)
 
-let run ?workers ?plan ?plan_out request =
+let run ?workers request =
   match request with
   | Simulate { scheme; workload; strict_oob } ->
     let built, globals, arrays = setup scheme workload in
@@ -218,7 +218,7 @@ let run ?workers ?plan ?plan_out request =
     in
     let estimate =
       Harness.sample ~forgiving_oob:(not strict_oob) ~globals ~arrays ~config
-        ?workers ?plan ?plan_out built
+        ?workers built
     in
     Sampled { scheme; workload; estimate; full_cycles = None }
   | Profile { scheme; workload; top } ->
@@ -351,8 +351,7 @@ let to_text = function
   | Leakage_matrix results -> Security_exp.render results ^ "\n"
   | Fuzzed { config; outcome } -> Fuzz.render config outcome
 
-let perform ?workers ?plan ?plan_out request =
-  to_json (run ?workers ?plan ?plan_out request)
+let perform ?workers request = to_json (run ?workers request)
 
 (* ---- wire form ---- *)
 
@@ -540,35 +539,8 @@ let cache_key request =
    deterministic shard assignment; folding in the program fingerprint
    (as [cache_key] does) would force every routed request through
    [Harness.build]. Two requests with identical canonical JSON always
-   share a shard — so coalescing and both caches still see every repeat
-   of a request on the same process. *)
+   share a shard — so coalescing and the response cache still see every
+   repeat of a request on the same process. *)
 let route_key request =
   let j1, j2 = digests (Json.to_string (request_to_json request)) in
   [ j1; j2 ]
-
-let plan_key request =
-  match request with
-  | Sample { scheme; workload; strict_oob; params } ->
-    (* The plan is a product of the fast-forward pass and the interval
-       selection only: coverage enters via the derived stride (the same
-       derivation Sampling uses), so any coverage selecting the same
-       interval set shares one plan. *)
-    let stride =
-      max 1 (int_of_float (Float.round (1. /. params.coverage)))
-    in
-    let doc =
-      Json.Obj
-        [
-          ("op", Json.Str "plan");
-          ("scheme", Json.Str (Scheme.name scheme));
-          ("strict_oob", Json.Bool strict_oob);
-          ("workload", workload_to_json workload);
-          ("interval", Json.Int params.interval);
-          ("warmup", Json.Int (max 0 params.warmup));
-          ("stride", Json.Int stride);
-        ]
-    in
-    let j1, j2 = digests (Json.to_string doc) in
-    let p1, p2 = program_digests scheme workload in
-    Some [ j1; j2; p1; p2 ]
-  | Simulate _ | Profile _ | Leakage | Fuzz_smoke _ -> None

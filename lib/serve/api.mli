@@ -73,29 +73,17 @@ type outcome =
       outcome : Sempe_fuzz.Fuzz.outcome;
     }
 
-val run :
-  ?workers:int ->
-  ?plan:Sampling.plan ->
-  ?plan_out:(Sampling.plan -> unit) ->
-  request ->
-  outcome
+val run : ?workers:int -> request -> outcome
 (** Execute one {!check}ed request. Deterministic: the outcome is the same
     at any [workers] (which only bounds the inner measurement parallelism
-    of [Sample] and the fuzz pool of [Fuzz_smoke]). [plan]/[plan_out]
-    revive / record a [Sample] request's checkpoint plan (ignored for the
-    other requests) — see {!Sempe_sampling.Sampling.estimate}. *)
+    of [Sample] and the fuzz pool of [Fuzz_smoke]). *)
 
 val to_json : outcome -> Json.t
 
 val to_text : outcome -> string
 (** Trailing newline included. *)
 
-val perform :
-  ?workers:int ->
-  ?plan:Sampling.plan ->
-  ?plan_out:(Sampling.plan -> unit) ->
-  request ->
-  Json.t
+val perform : ?workers:int -> request -> Json.t
 (** [to_json (run request)]: the daemon's execution entry point. *)
 
 val full_cycles : Scheme.t -> workload -> strict_oob:bool -> int
@@ -132,7 +120,7 @@ val request_of_json : Json.t -> (request, string) result
 
 val digests : string -> int * int
 (** Two independent FNV digests of a string — the primitive behind
-    {!cache_key}, {!plan_key} and {!route_key}, also used by the
+    {!cache_key} and {!route_key}, also used by the
     {!Router}'s hash ring for its virtual-node points. Strings that
     collide under one digest have no reason to collide under the other. *)
 
@@ -140,8 +128,8 @@ val route_key : request -> int list
 (** Partition key for the sharded fleet: the two digests of the
     canonical request JSON, nothing else. Cheap to compute (no program
     build), and identical requests always map to the same shard — so
-    coalescing and both shard-local caches still see every repeat of a
-    request on one process. Distinct from {!cache_key}, which also
+    coalescing and the shard's response cache still see every repeat of
+    a request on one process. Distinct from {!cache_key}, which also
     fingerprints the compiled program image and guards the response
     cache itself. *)
 
@@ -151,10 +139,3 @@ val cache_key : request -> int list
     (via [Marshal]) for workload-bearing requests. A response may be
     reused exactly when all four digests match, so a single unlucky hash
     collision cannot alias two different requests. *)
-
-val plan_key : request -> int list option
-(** Content address of the checkpoint plan a [Sample] request's
-    fast-forward pass produces — [None] for every other request. Unlike
-    {!cache_key} it excludes [coverage] and digests the derived sampling
-    stride instead, so any coverage that selects the same interval set
-    reuses the same plan. *)

@@ -1,9 +1,8 @@
 (** Bounded content-addressed cache with cost-aware (GreedyDual)
     eviction and hit/miss/eviction counters.
 
-    The daemon keeps two of these: (program fingerprint, request config)
-    → rendered report, and (program fingerprint, inputs, sampling
-    boundary config) → checkpoint plan. Keys are compared structurally
+    The daemon keeps one of these: (program fingerprint, request config)
+    → rendered report. Keys are compared structurally
     (the daemon uses lists of independent digests — see
     {!Api.cache_key} — so a single unlucky hash collision cannot alias
     two requests), values are opaque.

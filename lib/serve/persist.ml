@@ -1,43 +1,32 @@
-(* Versioned on-disk store for a shard's two caches.
+(* Versioned on-disk store for a shard's response cache.
 
-   Layout inside the store directory:
+   The store directory holds one file, [responses.v1.jsonl]: one header
+   line naming the store kind and version, then one JSON object per
+   cached response: {"key":[..],"cost_s":..,"response":..}, in recency
+   order (newest first, the order [Cache.to_list] dumps). The response
+   cache is JSON end to end, so its persistent form is too: the file is
+   greppable, survives binary changes by construction, and is read back
+   with the strict JSON parser, never with [Marshal].
 
-   - [responses.v1.jsonl] — one header line naming the store kind and
-     version, then one JSON object per cached response:
-     {"key":[..],"cost_s":..,"response":..}, in recency order (newest
-     first, the order [Cache.to_list] dumps). The response cache is JSON
-     end to end, so its persistent form is too: the file is greppable
-     and survives binary changes by construction.
-
-   - [plans.v1.bin] — a header line, then a [Marshal]-encoded list of
-     (key, cost, plan-image) triples where each plan image is the
-     closure-free [Sampling.plan_to_bytes] string. Checkpoint payloads
-     are megabytes of flat arrays; JSON-encoding them would triple the
-     size for no greppability worth having.
-
-   Both files are written atomically (temp file + rename) so a crash
-   mid-flush leaves the previous store intact. Loading is forgiving:
-   a missing directory or file is an empty store; a wrong version, a
-   corrupt line or a stale plan image is skipped with a warning rather
-   than failing the daemon's start — the store is a warm-start
-   optimization, never a correctness dependency. *)
+   The file is written atomically (temp file + rename) so a crash
+   mid-flush leaves the previous store intact. Loading is forgiving: a
+   missing directory or file is an empty store; an unreadable file, a
+   wrong version or a corrupt line is skipped with a warning rather than
+   failing the daemon's start — the store is a warm-start optimization,
+   never a correctness dependency. *)
 
 module Json = Sempe_obs.Json
-module Sampling = Sempe_sampling.Sampling
 
 let responses_header = "{\"store\":\"sempe-serve-responses\",\"version\":1}"
-let plans_header = "sempe-serve-plans.v1"
 
 let responses_file dir = Filename.concat dir "responses.v1.jsonl"
-let plans_file dir = Filename.concat dir "plans.v1.bin"
 
 type loaded = {
   responses : (int list * Json.t * float) list;
-  plans : (int list * Sampling.plan * float) list;
   warnings : string list;
 }
 
-let empty = { responses = []; plans = []; warnings = [] }
+let empty = { responses = []; warnings = [] }
 
 (* ---- encoding helpers ---- *)
 
@@ -102,7 +91,7 @@ let ensure_dir dir =
 
 (* ---- save ---- *)
 
-let save ~dir ~responses ~plans =
+let save ~dir ~responses =
   ensure_dir dir;
   write_atomically (responses_file dir) (fun oc ->
       output_string oc responses_header;
@@ -111,93 +100,42 @@ let save ~dir ~responses ~plans =
         (fun entry ->
           output_string oc (response_line entry);
           output_char oc '\n')
-        responses);
-  write_atomically (plans_file dir) (fun oc ->
-      output_string oc plans_header;
-      output_char oc '\n';
-      let triples =
-        List.map
-          (fun (key, plan, cost) -> (key, cost, Sampling.plan_to_bytes plan))
-          plans
-      in
-      output_string oc (Marshal.to_string (triples : (int list * float * string) list) []))
+        responses)
 
 (* ---- load ---- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let load_responses dir warnings =
-  let path = responses_file dir in
-  if not (Sys.file_exists path) then []
-  else begin
-    match String.split_on_char '\n' (read_file path) with
-    | [] -> []
-    | header :: lines ->
-      if String.trim header <> responses_header then begin
-        warnings :=
-          Printf.sprintf "%s: unknown header %S, store skipped" path
-            (String.trim header)
-          :: !warnings;
-        []
-      end
-      else
-        List.filteri (fun _ line -> String.trim line <> "") lines
-        |> List.filter_map (fun line ->
-               match response_of_line line with
-               | Ok entry -> Some entry
-               | Error msg ->
-                 warnings :=
-                   Printf.sprintf "%s: entry skipped (%s)" path msg :: !warnings;
-                 None)
-  end
-
-let load_plans dir warnings =
-  let path = plans_file dir in
-  if not (Sys.file_exists path) then []
-  else begin
-    let contents = try read_file path with Sys_error _ | End_of_file -> "" in
-    match String.index_opt contents '\n' with
-    | None ->
-      warnings := Printf.sprintf "%s: truncated store skipped" path :: !warnings;
-      []
-    | Some nl ->
-      if String.sub contents 0 nl <> plans_header then begin
-        warnings :=
-          Printf.sprintf "%s: unknown header, store skipped" path :: !warnings;
-        []
-      end
-      else begin
-        match
-          (Marshal.from_string contents (nl + 1)
-            : (int list * float * string) list)
-        with
-        | exception _ ->
-          warnings :=
-            Printf.sprintf "%s: corrupt payload, store skipped" path
-            :: !warnings;
-          []
-        | triples ->
-          List.filter_map
-            (fun (key, cost, image) ->
-              match Sampling.plan_of_bytes image with
-              | Ok plan -> Some (key, plan, cost)
-              | Error msg ->
-                warnings :=
-                  Printf.sprintf "%s: plan skipped (%s)" path msg :: !warnings;
-                None)
-            triples
-      end
-  end
-
 let load ~dir =
-  if not (Sys.file_exists dir) then empty
+  let path = responses_file dir in
+  if not (Sys.file_exists path) then empty
   else begin
     let warnings = ref [] in
-    let responses = load_responses dir warnings in
-    let plans = load_plans dir warnings in
-    { responses; plans; warnings = List.rev !warnings }
+    let warn fmt =
+      Printf.ksprintf (fun msg -> warnings := (path ^ ": " ^ msg) :: !warnings) fmt
+    in
+    let responses =
+      match
+        String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all)
+      with
+      | exception Sys_error msg ->
+        warn "unreadable (%s), store skipped" msg;
+        []
+      | [] -> []
+      | header :: lines ->
+        if String.trim header <> responses_header then begin
+          warn "unknown header %S, store skipped" (String.trim header);
+          []
+        end
+        else
+          List.filter_map
+            (fun line ->
+              if String.trim line = "" then None
+              else
+                match response_of_line line with
+                | Ok entry -> Some entry
+                | Error msg ->
+                  warn "entry skipped (%s)" msg;
+                  None)
+            lines
+    in
+    { responses; warnings = List.rev !warnings }
   end

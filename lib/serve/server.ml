@@ -1,14 +1,12 @@
 module Json = Sempe_obs.Json
 module Stats = Sempe_util.Stats
 module Pool = Sempe_util.Pool
-module Sampling = Sempe_sampling.Sampling
 
 type addr = Listener.addr = Unix_sock of string | Tcp of string * int
 
 type config = {
   workers : int;
   result_entries : int;
-  plan_entries : int;
   timeout_s : float;
   max_connections : int;
   max_frame : int;
@@ -20,7 +18,6 @@ let default_config =
   {
     workers = 2;
     result_entries = 128;
-    plan_entries = 32;
     timeout_s = 300.;
     max_connections = 64;
     max_frame = Frame.max_len_default;
@@ -44,7 +41,6 @@ type t = {
   pool : Pool.t;
   m : Mutex.t;
   results : (int list, Json.t) Cache.t;
-  plans : (int list, Sampling.plan) Cache.t;
   inflight : (int list, inflight) Hashtbl.t;
   latency : Stats.Summary.t;
   mutable ok_replies : int;
@@ -53,7 +49,6 @@ type t = {
   mutable coalesced : int;
   mutable executed : int;
   mutable disk_loaded_results : int;
-  mutable disk_loaded_plans : int;
 }
 
 let addr t = Listener.addr t.listener
@@ -77,7 +72,6 @@ let stats_json t =
           ("executed", Json.Int t.executed);
           ("coalesced", Json.Int t.coalesced);
           ("disk_loaded_results", Json.Int t.disk_loaded_results);
-          ("disk_loaded_plans", Json.Int t.disk_loaded_plans);
           ( "result_cache",
             Json.Obj
               [
@@ -88,17 +82,6 @@ let stats_json t =
                 ("evictions", Json.Int (Cache.evictions t.results));
                 ("cost_evicted_s", Json.Float (Cache.cost_evicted_s t.results));
                 ("total_cost_s", Json.Float (Cache.total_cost_s t.results));
-              ] );
-          ( "plan_cache",
-            Json.Obj
-              [
-                ("entries", Json.Int (Cache.length t.plans));
-                ("capacity", Json.Int (Cache.capacity t.plans));
-                ("hits", Json.Int (Cache.hits t.plans));
-                ("misses", Json.Int (Cache.misses t.plans));
-                ("evictions", Json.Int (Cache.evictions t.plans));
-                ("cost_evicted_s", Json.Float (Cache.cost_evicted_s t.plans));
-                ("total_cost_s", Json.Float (Cache.total_cost_s t.plans));
               ] );
           ("connections", c.connections);
           ("in_flight", Json.Int c.in_flight);
@@ -180,46 +163,22 @@ let serve_request t req ~t0 =
               let entry = { promise = None } in
               Hashtbl.replace t.inflight key entry;
               t.executed <- t.executed + 1;
-              let plan, record_pkey =
-                match Api.plan_key req with
-                | None -> (None, None)
-                | Some pkey -> (
-                  match Cache.find t.plans pkey with
-                  | Some p -> (Some p, None)
-                  | None -> (None, Some pkey))
-              in
-              `Exec (entry, plan, record_pkey)))
+              `Exec entry))
     in
     match action with
     | `Hit json -> Listener.Ok_result (json, true)
     | `Join entry -> poll_entry t key entry ~t0
-    | `Exec (entry, plan, record_pkey) ->
+    | `Exec entry ->
       (* Inner parallelism stays at 1: concurrency comes from serving
          many requests on the pool, not from nesting domain pools per
          request (the documents are worker-count-independent anyway).
          The job times its own [Api.perform] call: that wall time is the
          entry's recompute cost, which cost-aware eviction minimizes the
-         loss of. A recorded plan is charged the same cost — losing it
-         forfeits the same fast-forward pass. *)
+         loss of. *)
       let job () =
         let jt0 = Pool.now_s () in
-        match
-          let recorded = ref None in
-          let plan_out =
-            match record_pkey with
-            | None -> None
-            | Some _ -> Some (fun p -> recorded := Some p)
-          in
-          let json = Api.perform ~workers:1 ?plan ?plan_out req in
-          (json, !recorded)
-        with
-        | json, recorded ->
-          let dt = Pool.now_s () -. jt0 in
-          (match (record_pkey, recorded) with
-           | Some pkey, Some p ->
-             locked t (fun () -> Cache.add ~cost:dt t.plans pkey p)
-           | _ -> ());
-          Ok (json, dt)
+        match Api.perform ~workers:1 req with
+        | json -> Ok (json, Pool.now_s () -. jt0)
         | exception Pool.Shutdown -> Error "shutting down"
         | exception e -> Error (Printexc.to_string e)
       in
@@ -268,7 +227,6 @@ let start ?(config = default_config) address =
       pool = Pool.create ~workers:config.workers ();
       m = Mutex.create ();
       results = Cache.create ~capacity:config.result_entries;
-      plans = Cache.create ~capacity:config.plan_entries;
       inflight = Hashtbl.create 16;
       latency = Stats.Summary.create ();
       ok_replies = 0;
@@ -277,7 +235,6 @@ let start ?(config = default_config) address =
       coalesced = 0;
       executed = 0;
       disk_loaded_results = 0;
-      disk_loaded_plans = 0;
     }
   in
   (* Warm start: reload whatever the previous run flushed. Entries go in
@@ -287,21 +244,16 @@ let start ?(config = default_config) address =
   (match config.store_dir with
    | None -> ()
    | Some dir ->
-     let { Persist.responses; plans; warnings } = Persist.load ~dir in
+     let { Persist.responses; warnings } = Persist.load ~dir in
      List.iter (Printf.eprintf "[serve] store: %s\n%!") warnings;
      List.iter
        (fun (key, json, cost) ->
          Cache.add ~cost t.results key json;
          t.disk_loaded_results <- t.disk_loaded_results + 1)
        (List.rev responses);
-     List.iter
-       (fun (key, plan, cost) ->
-         Cache.add ~cost t.plans key plan;
-         t.disk_loaded_plans <- t.disk_loaded_plans + 1)
-       (List.rev plans);
      if config.verbose then
-       Printf.eprintf "[serve] store: loaded %d responses, %d plans from %s\n%!"
-         t.disk_loaded_results t.disk_loaded_plans dir);
+       Printf.eprintf "[serve] store: loaded %d responses from %s\n%!"
+         t.disk_loaded_results dir);
   Listener.serve listener (handler t);
   t
 
@@ -311,16 +263,13 @@ let stop t =
   let grace_s = if t.cfg.timeout_s > 0. then Some (t.cfg.timeout_s +. 10.) else None in
   if Listener.stop ?grace_s t.listener then begin
     Pool.shutdown ~drain:true t.pool;
-    (* Every thread is joined and the pool drained: the caches are
-       quiescent, flush them. A failed flush must not turn a graceful
+    (* Every thread is joined and the pool drained: the cache is
+       quiescent, flush it. A failed flush must not turn a graceful
        shutdown into a crash — the store is an optimization. *)
     match t.cfg.store_dir with
     | None -> ()
     | Some dir -> (
-      try
-        Persist.save ~dir
-          ~responses:(Cache.to_list t.results)
-          ~plans:(Cache.to_list t.plans)
+      try Persist.save ~dir ~responses:(Cache.to_list t.results)
       with e ->
         Printf.eprintf "[serve] store flush to %s failed: %s\n%!" dir
           (Printexc.to_string e))

@@ -7,16 +7,16 @@
     {!Sempe_util.Pool} of worker domains, so a connection is cheap and
     the expensive work is bounded by the pool size.
 
-    Two content-addressed caches back the service: response bytes keyed
-    by {!Api.cache_key}, and sampling checkpoint plans keyed by
-    {!Api.plan_key} — a repeated sweep neither re-simulates nor re-runs
-    the fast-forward pass. Every entry records the wall seconds its
-    {!Api.perform} took, and eviction is cost-aware ({!Cache}): the cache
-    keeps the entries that are most expensive to recompute. Identical
-    in-flight requests coalesce onto one execution.
+    One content-addressed cache backs the service: response bytes keyed
+    by {!Api.cache_key}, so a repeated sweep does not re-simulate. Every
+    entry records the wall seconds its {!Api.perform} took, and eviction
+    is cost-aware ({!Cache}): the cache keeps the entries that are most
+    expensive to recompute. A request whose response was evicted runs
+    again in full, and its bytes are the same. Identical in-flight
+    requests coalesce onto one execution.
 
-    With a [store_dir], the daemon persists both caches: a graceful
-    shutdown flushes them through {!Persist} and the next start reloads
+    With a [store_dir], the daemon persists the cache: a graceful
+    shutdown flushes it through {!Persist} and the next start reloads
     the store, so a restarted shard answers warm — and, because the store
     holds the exact rendered response bytes, byte-identically — from its
     first request.
@@ -33,7 +33,6 @@ type addr = Listener.addr = Unix_sock of string | Tcp of string * int
 type config = {
   workers : int;  (** simulation pool size *)
   result_entries : int;  (** response cache capacity *)
-  plan_entries : int;  (** checkpoint-plan cache capacity *)
   timeout_s : float;  (** per-request reply deadline; [0.] = none *)
   max_connections : int;  (** concurrent connections; excess get [busy] *)
   max_frame : int;  (** request frame byte cap *)
@@ -62,7 +61,7 @@ val stop : t -> unit
 (** Graceful shutdown: stop accepting, let in-flight requests finish and
     reply while every connection closes after its current reply, wake
     idle connections, join every thread, drain the pool and — when
-    configured with a [store_dir] — flush both caches to disk.
+    configured with a [store_dir] — flush the cache to disk.
     Idempotent. *)
 
 val wait : t -> unit
@@ -71,8 +70,7 @@ val wait : t -> unit
 
 val stats_json : t -> Sempe_obs.Json.t
 (** The daemon's counters, as served by the [stats] op: request/reply
-    totals, cache hits/misses/evictions and cost accounting for both
-    caches, entries reloaded from the persistent store
-    ([disk_loaded_results] / [disk_loaded_plans]), coalesced and executed
-    requests, the listener's connection counts ({!Listener.counters})
-    and request latency percentiles. *)
+    totals, cache hits/misses/evictions and cost accounting, entries
+    reloaded from the persistent store ([disk_loaded_results]),
+    coalesced and executed requests, the listener's connection counts
+    ({!Listener.counters}) and request latency percentiles. *)

@@ -80,9 +80,9 @@ val sample :
 (** Sampled simulation of the same workload setup as {!run} — see
     {!Sempe_sampling.Sampling.estimate}. For performance estimates only;
     security experiments need the full runs of {!run}. [plan]/[plan_out]
-    revive / record the fast-forward pass's checkpoint plan (the serving
-    daemon's checkpoint cache); the caller must key plans by program,
-    inputs, and sampling boundary config. *)
+    revive / record the fast-forward pass's checkpoint plan; a revived
+    plan must come from the same built program, inputs and sampling
+    boundary config, and gives a byte-identical estimate. *)
 
 val return_value : Sempe_core.Run.outcome -> int
 (** [main]'s return value. *)

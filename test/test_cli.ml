@@ -285,6 +285,11 @@ let gate_table =
         [ perf_record ~instructions:1000 "fib" "full" 10.0;
           perf_record "fib" "sampled" 20.0 ]
       ~args:[ "--min-work"; "500" ] ~expected_code:0;
+    (* a misspelled flag is an error, not a silent default: this one
+       would otherwise gate at the default tolerance and pass *)
+    gate_case "gate rejects an unknown flag" ~baseline:base_records
+      ~current:[ perf_record "fib" "full" 5.0; perf_record "fib" "sampled" 20.0 ]
+      ~args:[ "--tolernace"; "60" ] ~expected_code:124;
   ]
 
 let gate_malformed =

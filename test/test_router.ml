@@ -97,6 +97,7 @@ let fresh_dir name =
       else Sys.remove path
   in
   wipe dir;
+  at_exit (fun () -> wipe dir);
   dir
 
 let test_persist_roundtrip () =
@@ -107,23 +108,21 @@ let test_persist_roundtrip () =
       ([ 55; 66 ], Json.Str "leakage-matrix", 0.25);
     ]
   in
-  Persist.save ~dir ~responses ~plans:[];
+  Persist.save ~dir ~responses;
   let loaded = Persist.load ~dir in
   Alcotest.(check (list string)) "clean load has no warnings" []
     loaded.Persist.warnings;
   Alcotest.(check bool) "responses survive byte-for-byte, in order" true
     (loaded.Persist.responses = responses);
-  Alcotest.(check int) "no plans were stored" 0
-    (List.length loaded.Persist.plans);
   (* a second save atomically replaces the first *)
-  Persist.save ~dir ~responses:[ List.hd responses ] ~plans:[];
+  Persist.save ~dir ~responses:[ List.hd responses ];
   Alcotest.(check int) "rewrite replaces the store" 1
     (List.length (Persist.load ~dir).Persist.responses)
 
 let test_persist_corruption_tolerated () =
   Alcotest.(check bool) "missing dir loads empty" true
-    (Persist.load ~dir:(fresh_dir "persist-none") = Persist.
-       { responses = []; plans = []; warnings = [] });
+    (Persist.load ~dir:(fresh_dir "persist-none")
+    = Persist.{ responses = []; warnings = [] });
   let dir = fresh_dir "persist-bad" in
   Unix.mkdir dir 0o755;
   let write name contents =
@@ -132,11 +131,10 @@ let test_persist_corruption_tolerated () =
     close_out oc
   in
   write "responses.v1.jsonl" "{\"store\":\"other\",\"version\":9}\n{}\n";
-  write "plans.v1.bin" "sempe-serve-plans.v9\ngarbage";
   let loaded = Persist.load ~dir in
-  Alcotest.(check int) "nothing loads from foreign stores" 0
-    (List.length loaded.Persist.responses + List.length loaded.Persist.plans);
-  Alcotest.(check int) "each skipped file warns once" 2
+  Alcotest.(check int) "nothing loads from a foreign store" 0
+    (List.length loaded.Persist.responses);
+  Alcotest.(check int) "the skipped file warns once" 1
     (List.length loaded.Persist.warnings);
   (* a valid header with one corrupt line: the good entries still load *)
   write "responses.v1.jsonl"
@@ -145,7 +143,85 @@ let test_persist_corruption_tolerated () =
    ^ "this is not json\n");
   let loaded = Persist.load ~dir in
   Alcotest.(check int) "good entry loads past the corrupt one" 1
-    (List.length loaded.Persist.responses)
+    (List.length loaded.Persist.responses);
+  (* a store that cannot be read is skipped, not a failed start *)
+  let dir = fresh_dir "persist-unreadable" in
+  Unix.mkdir dir 0o755;
+  Unix.mkdir (Filename.concat dir "responses.v1.jsonl") 0o755;
+  let loaded = Persist.load ~dir in
+  Alcotest.(check int) "an unreadable store loads empty" 0
+    (List.length loaded.Persist.responses);
+  Alcotest.(check int) "and warns once" 1 (List.length loaded.Persist.warnings)
+
+(* Damage to a saved store: one byte flipped, or the file cut short.
+   Loading never raises, and every entry line the damage did not reach
+   loads as saved, in order; the damaged lines yield at most two entries
+   (a flipped newline merges two lines, a byte flipped into a newline
+   splits one). A damaged header skips the whole store with a warning:
+   the version check cannot tell damage from a foreign version. *)
+let test_persist_damage =
+  let entry =
+    QCheck.Gen.(
+      map3
+        (fun key (n, name) c ->
+          ( key,
+            Json.Obj [ ("cycles", Json.Int n); ("name", Json.Str name) ],
+            float_of_int c /. 8. ))
+        (list_size (int_range 2 4) int)
+        (pair int (string_size ~gen:printable (int_range 0 12)))
+        (int_range 0 1000))
+  in
+  let damage = QCheck.Gen.(triple bool nat (int_range 1 255)) in
+  let dir = lazy (fresh_dir "persist-damage") in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"persist: flipped or cut store" ~count:300
+       (QCheck.make QCheck.Gen.(pair (list_size (int_range 0 6) entry) damage))
+       (fun (responses, (cut, pos, mask)) ->
+         let dir = Lazy.force dir in
+         let path = Filename.concat dir "responses.v1.jsonl" in
+         Persist.save ~dir ~responses;
+         let image = In_channel.with_open_bin path In_channel.input_all in
+         let pos = pos mod String.length image in
+         let damaged =
+           if cut then String.sub image 0 pos
+           else
+             String.mapi
+               (fun i c -> if i = pos then Char.chr (Char.code c lxor mask) else c)
+               image
+         in
+         Out_channel.with_open_bin path (fun oc -> output_string oc damaged);
+         let loaded = Persist.load ~dir in
+         (* (first byte, closing newline) of each entry line *)
+         let header_end = String.index image '\n' in
+         let spans, _ =
+           List.fold_left
+             (fun (acc, start) _ ->
+               let stop = String.index_from image start '\n' in
+               (acc @ [ (start, stop) ], stop + 1))
+             ([], header_end + 1) responses
+         in
+         (* the last byte whose line the damage reaches *)
+         let reached =
+           if cut then String.length image
+           else if image.[pos] = '\n' then pos + 1
+           else pos
+         in
+         let pick keep = List.filteri (fun i _ -> keep (List.nth spans i)) responses in
+         let before = pick (fun (_, stop) -> stop < pos) in
+         let after = pick (fun (start, _) -> start > reached) in
+         let got = loaded.Persist.responses in
+         let n = List.length got in
+         let nb = List.length before and na = List.length after in
+         if pos <= header_end && not cut then
+           (* only a header newline flipped into trailing whitespace
+              leaves the header valid, and then only an empty store
+              loads without a warning *)
+           got = [] && (responses = [] || loaded.Persist.warnings <> [])
+         else
+           List.filteri (fun i _ -> i < nb) got = before
+           && List.filteri (fun i _ -> i >= n - na) got = after
+           && n - nb - na >= 0
+           && n - nb - na <= 2))
 
 (* ---- in-process fleet helpers ------------------------------------------ *)
 
@@ -624,6 +700,7 @@ let tests =
     Alcotest.test_case "ring: bounded remapping on grow" `Quick
       test_ring_bounded_remapping;
     Alcotest.test_case "persist: store round-trip" `Quick test_persist_roundtrip;
+    test_persist_damage;
     Alcotest.test_case "persist: corruption tolerated" `Quick
       test_persist_corruption_tolerated;
     Alcotest.test_case "daemon: store survives restart" `Quick

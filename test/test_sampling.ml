@@ -1,6 +1,7 @@
 (* Sampled simulation: the degenerate full-coverage path must reproduce
    the ordinary detailed run bit-exactly, checkpoints must round-trip to
-   an identical remaining execution, fast-forward warming must leave the
+   an identical remaining execution, a revived checkpoint plan must give
+   the cold run's estimate, fast-forward warming must leave the
    microarchitectural state a detailed run would, estimates must be
    worker-count independent, and the estimation error must shrink (on
    average) as coverage grows — on the curated workloads and on random
@@ -83,6 +84,34 @@ let test_workers_deterministic () =
             true
             (run w = e1))
         [ 2; 8 ])
+    (workloads ())
+
+(* A recorded checkpoint plan, revived, skips the fast-forward pass and
+   gives the cold run's estimate byte for byte: each measurement is a
+   pure function of its checkpoint. A plan recorded under other interval
+   boundaries is refused rather than measured. *)
+let test_plan_reuse_byte_equal () =
+  List.iter
+    (fun (name, built, globals, arrays) ->
+      let sample ?plan ?plan_out coverage =
+        Harness.sample ~globals ~arrays ~config:(cfg coverage) ?plan ?plan_out
+          built
+      in
+      let render est = Sempe_obs.Json.to_string (Sampling.to_json est) in
+      let captured = ref None in
+      let cold = sample ~plan_out:(fun p -> captured := Some p) 0.1 in
+      match !captured with
+      | None -> Alcotest.fail (name ^ ": the fast-forward pass exported no plan")
+      | Some plan ->
+        Alcotest.(check string)
+          (name ^ ": revived estimate byte-identical to the cold run")
+          (render cold)
+          (render (sample ~plan 0.1));
+        Alcotest.check_raises (name ^ ": a plan of another stride is refused")
+          (Invalid_argument
+             "Sampling.estimate: plan was recorded under a different \
+              interval/warmup/coverage/offset")
+          (fun () -> ignore (sample ~plan 0.25)))
     (workloads ())
 
 (* Fast-forward functional warming must drive the caches and predictors
@@ -422,6 +451,8 @@ let tests =
     Alcotest.test_case "full coverage is exact" `Quick test_full_coverage_exact;
     Alcotest.test_case "estimate independent of worker count" `Quick
       test_workers_deterministic;
+    Alcotest.test_case "checkpoint plan reuse byte-equal" `Quick
+      test_plan_reuse_byte_equal;
     Alcotest.test_case "ff warming matches detailed warming" `Quick
       test_warm_fidelity;
     Alcotest.test_case "checkpoint round-trip" `Quick test_checkpoint_roundtrip;

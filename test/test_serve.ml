@@ -1,8 +1,9 @@
 (* Tests for the serving subsystem: framing, the LRU caches, the request
-   vocabulary and its strict decoder, content-addressed keys, checkpoint
-   plan reuse, and an in-process daemon exercised end to end over a unix
-   socket (byte-equality with the batch path, caching, coalescing,
-   timeouts, graceful shutdown, and the load-generator acceptance run). *)
+   vocabulary and its strict decoder, content-addressed keys, and an
+   in-process daemon exercised end to end over a unix socket
+   (byte-equality with the batch path, caching, re-execution after
+   eviction, coalescing, timeouts, graceful shutdown, and the
+   load-generator acceptance run). *)
 
 module Json = Sempe_obs.Json
 module Frame = Sempe_serve.Frame
@@ -11,7 +12,6 @@ module Api = Sempe_serve.Api
 module Server = Sempe_serve.Server
 module Client = Sempe_serve.Client
 module Loadgen = Sempe_serve.Loadgen
-module Sampling = Sempe_sampling.Sampling
 module Stats = Sempe_util.Stats
 module Scheme = Sempe_core.Scheme
 
@@ -157,8 +157,8 @@ let sample_req =
       workload = Api.Rsa { key = 0xACE5 };
       strict_oob = false;
       (* Coverage low enough that the sampler's cost model keeps this
-         request on the genuinely sampled path (and thus exports a
-         checkpoint plan) despite the small interval. *)
+         request on the genuinely sampled path despite the small
+         interval. *)
       params = { Api.interval = 2000; coverage = 0.05; warmup = 500 };
     }
 
@@ -264,72 +264,6 @@ let test_cache_keys () =
     = Api.cache_key
         (Api.Simulate
            { scheme = Scheme.Cte; workload = fib 4; strict_oob = false }))
-
-let test_plan_keys () =
-  Alcotest.(check bool) "simulate has no plan key" true
-    (Api.plan_key (List.hd requests) = None);
-  Alcotest.(check bool) "leakage has no plan key" true
-    (Api.plan_key Api.Leakage = None);
-  let sample ~coverage ~interval =
-    Api.Sample
-      {
-        scheme = Scheme.Sempe;
-        workload = Api.Rsa { key = 0xACE5 };
-        strict_oob = false;
-        params = { Api.interval; coverage; warmup = 500 };
-      }
-  in
-  let k1 = Api.plan_key (sample ~coverage:0.25 ~interval:2000) in
-  Alcotest.(check bool) "sample has a plan key" true (k1 <> None);
-  (* the plan depends on the stride, not the raw coverage: 0.25 and 0.26
-     both round to stride 4, so they share a checkpoint plan *)
-  Alcotest.(check bool) "equivalent coverage shares the plan" true
-    (k1 = Api.plan_key (sample ~coverage:0.26 ~interval:2000));
-  Alcotest.(check bool) "different stride, different plan" false
-    (k1 = Api.plan_key (sample ~coverage:0.5 ~interval:2000));
-  Alcotest.(check bool) "different interval, different plan" false
-    (k1 = Api.plan_key (sample ~coverage:0.25 ~interval:1000))
-
-(* ---- checkpoint plan reuse --------------------------------------------- *)
-
-let test_plan_reuse_byte_equal () =
-  let captured = ref None in
-  let cold = Api.perform ~plan_out:(fun p -> captured := Some p) sample_req in
-  match !captured with
-  | None -> Alcotest.fail "fast-forward pass exported no plan"
-  | Some plan ->
-    let warm = Api.perform ~plan sample_req in
-    Alcotest.(check string) "warm sample byte-identical to cold"
-      (Json.to_string cold) (Json.to_string warm)
-
-let test_plan_image_roundtrip () =
-  let captured = ref None in
-  let cold = Api.perform ~plan_out:(fun p -> captured := Some p) sample_req in
-  match !captured with
-  | None -> Alcotest.fail "fast-forward pass exported no plan"
-  | Some plan ->
-    let image = Sampling.plan_to_bytes plan in
-    (match Sampling.plan_of_bytes image with
-     | Error e -> Alcotest.fail ("image rejected: " ^ e)
-     | Ok revived ->
-       Alcotest.(check int) "points survive" (Sampling.plan_points plan)
-         (Sampling.plan_points revived);
-       Alcotest.(check int) "instruction count survives"
-         (Sampling.plan_instructions plan)
-         (Sampling.plan_instructions revived);
-       let warm = Api.perform ~plan:revived sample_req in
-       Alcotest.(check string) "estimate from a revived image byte-identical"
-         (Json.to_string cold) (Json.to_string warm));
-    (* stale or damaged images are Error, never an exception *)
-    (match Sampling.plan_of_bytes "not-a-plan" with
-     | Error _ -> ()
-     | Ok _ -> Alcotest.fail "accepted garbage image");
-    (match Sampling.plan_of_bytes (String.sub image 0 (String.length image - 5)) with
-     | Error _ -> ()
-     | Ok _ -> Alcotest.fail "accepted truncated image");
-    match Sampling.plan_of_bytes ("sempe-plan.v0\n" ^ "rest") with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.fail "accepted wrong version"
 
 (* ---- loadgen percentile gating ----------------------------------------- *)
 
@@ -444,12 +378,13 @@ let test_server_byte_equality_and_caching () =
           Alcotest.(check int) "one result-cache hit" 1
             (stat [ "result_cache"; "hits" ] stats)))
 
-let test_server_sample_plan_cache () =
+let test_server_reexecution_after_eviction () =
   (* A result cache of one entry forces re-execution of the sample after
-     an unrelated request evicts it; the checkpoint plan survives in the
-     plan cache and the warm re-execution must serve identical bytes. *)
+     an unrelated request evicts it: the rerun runs the whole sampled
+     simulation again, fast-forward pass included, and must serve
+     identical bytes. *)
   let config = { Server.default_config with result_entries = 1 } in
-  with_server ~config "plan" (fun _server addr ->
+  with_server ~config "evict" (fun _server addr ->
       with_conn addr (fun conn ->
           let cold = ok (Client.call conn sample_req) in
           let evictor =
@@ -457,13 +392,11 @@ let test_server_sample_plan_cache () =
               { scheme = Scheme.Baseline; workload = fib 2; strict_oob = false }
           in
           ignore (ok (Client.call conn evictor));
-          let warm, cached = ok (Client.call_cached conn sample_req) in
+          let again, cached = ok (Client.call_cached conn sample_req) in
           Alcotest.(check bool) "re-executed, not cache-served" false cached;
-          Alcotest.(check string) "plan-warmed rerun byte-identical"
-            (Json.to_string cold) (Json.to_string warm);
+          Alcotest.(check string) "rerun byte-identical"
+            (Json.to_string cold) (Json.to_string again);
           let stats = ok (Client.stats conn) in
-          Alcotest.(check bool) "plan cache was hit" true
-            (stat [ "plan_cache"; "hits" ] stats >= 1);
           Alcotest.(check int) "three executions total" 3
             (stat [ "executed" ] stats)))
 
@@ -625,17 +558,12 @@ let tests =
       test_request_json_roundtrip;
     Alcotest.test_case "request strict decode" `Quick test_request_strict_decode;
     Alcotest.test_case "cache keys" `Quick test_cache_keys;
-    Alcotest.test_case "plan keys" `Quick test_plan_keys;
-    Alcotest.test_case "checkpoint plan reuse byte-equal" `Quick
-      test_plan_reuse_byte_equal;
-    Alcotest.test_case "checkpoint plan disk image round-trip" `Quick
-      test_plan_image_roundtrip;
     Alcotest.test_case "daemon: byte equality and caching" `Quick
       test_server_byte_equality_and_caching;
     Alcotest.test_case "daemon: finished handlers reaped" `Quick
       test_server_reaps_handlers;
-    Alcotest.test_case "daemon: plan cache across eviction" `Quick
-      test_server_sample_plan_cache;
+    Alcotest.test_case "daemon: re-execution after eviction byte-identical"
+      `Quick test_server_reexecution_after_eviction;
     Alcotest.test_case "daemon: timeout leaves daemon alive" `Quick
       test_server_timeout_then_alive;
     Alcotest.test_case "daemon: malformed frames get errors" `Quick

@@ -17,6 +17,7 @@ module Harness = Sempe_workloads.Harness
 module Rsa = Sempe_workloads.Rsa
 module Scheme = Sempe_core.Scheme
 module Observable = Sempe_security.Observable
+module Sink = Sempe_obs.Sink
 
 let () =
   print_endline "=== attack 1: prime+probe on a shared cache ===\n";
@@ -47,7 +48,9 @@ let () =
     let globals, arrays = Rsa.inputs ~key ~base:1234 ~modulus:99991 in
     let recorder = Observable.recorder () in
     let outcome =
-      Harness.run ~globals ~arrays ~observe:(Observable.feed recorder) built
+      Harness.run ~globals ~arrays
+        ~sink:(Sink.of_probe (Observable.probe recorder))
+        built
     in
     (Observable.view recorder outcome.Sempe_core.Run.timing).Observable.bpred_sig
   in

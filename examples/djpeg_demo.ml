@@ -9,6 +9,7 @@ module Harness = Sempe_workloads.Harness
 module Scheme = Sempe_core.Scheme
 module Run = Sempe_core.Run
 module Observable = Sempe_security.Observable
+module Sink = Sempe_obs.Sink
 module Leakage = Sempe_security.Leakage
 module Tablefmt = Sempe_util.Tablefmt
 
@@ -17,7 +18,9 @@ let decode scheme fmt ~seed =
   let globals, arrays = Djpeg.inputs fmt ~seed ~blocks:8 in
   let recorder = Observable.recorder () in
   let outcome =
-    Harness.run ~globals ~arrays ~observe:(Observable.feed recorder) built
+    Harness.run ~globals ~arrays
+      ~sink:(Sink.of_probe (Observable.probe recorder))
+      built
   in
   (outcome, Observable.view recorder outcome.Sempe_core.Run.timing)
 

@@ -8,6 +8,7 @@ module Harness = Sempe_workloads.Harness
 module Scheme = Sempe_core.Scheme
 module Run = Sempe_core.Run
 module Observable = Sempe_security.Observable
+module Sink = Sempe_obs.Sink
 
 (* A toy access-control check: the secret decides which of two code paths
    computes the response. *)
@@ -46,7 +47,8 @@ let run scheme ~secret =
   let outcome =
     Harness.run
       ~globals:[ ("is_admin", secret) ]
-      ~observe:(Observable.feed recorder) built
+      ~sink:(Sink.of_probe (Observable.probe recorder))
+      built
   in
   (Harness.return_value outcome, Run.cycles outcome, Observable.pc_digest recorder)
 

@@ -21,22 +21,13 @@ let exec_config ~support ~(machine : Config.t) ~mem_words ~max_instrs
 let simulate ?(support = Exec.Sempe_hw) ?(machine = Config.default) ?predictor
     ?(mem_words = Exec.default_config.Exec.mem_words)
     ?(max_instrs = Exec.default_config.Exec.max_instrs)
-    ?(forgiving_oob = true) ?(fault = Exec.No_fault) ?init_mem ?observe ?sink
-    prog =
+    ?(forgiving_oob = true) ?(fault = Exec.No_fault) ?init_mem ?sink prog =
   let probe = Option.map (fun s -> s.Sempe_obs.Sink.probe) sink in
   let timing = Timing.create ~config:machine ?predictor ?probe () in
-  let feed =
-    match observe with
-    | None -> Timing.feed timing
-    | Some f ->
-      fun ev ->
-        Timing.feed timing ev;
-        f ev
-  in
   let config =
     exec_config ~support ~machine ~mem_words ~max_instrs ~forgiving_oob ~fault
   in
-  let exec = Exec.run ~config ?init_mem ~sink:feed prog in
+  let exec = Exec.run ~config ?init_mem ~sink:(Timing.feed timing) prog in
   { exec; timing = Timing.report timing }
 
 let execute ?(support = Exec.Sempe_hw) ?(machine = Config.default)

@@ -6,6 +6,19 @@ type outcome = {
   timing : Sempe_pipeline.Timing.report;
 }
 
+val exec_config :
+  support:Exec.support
+  -> machine:Sempe_pipeline.Config.t
+  -> mem_words:int
+  -> max_instrs:int
+  -> forgiving_oob:bool
+  -> fault:Exec.fault
+  -> Exec.config
+(** The interpreter configuration {!simulate} and {!execute} run under:
+    the SPM and jbTable sizes come from [machine]. Exposed for callers
+    that drive {!Exec} sessions themselves (the sampler's fast-forward
+    pass). *)
+
 val simulate :
   ?support:Exec.support
   -> ?machine:Sempe_pipeline.Config.t
@@ -15,13 +28,11 @@ val simulate :
   -> ?forgiving_oob:bool
   -> ?fault:Exec.fault
   -> ?init_mem:(Memory.t -> unit)
-  -> ?observe:(Sempe_pipeline.Uop.event -> unit)
   -> ?sink:Sempe_obs.Sink.t
   -> Sempe_isa.Program.t
   -> outcome
 (** [simulate prog] runs [prog] to [Halt] on a fresh machine. [support]
-    defaults to [Sempe_hw]; [observe] additionally receives every event
-    (after the timing model), for the security observables.
+    defaults to [Sempe_hw].
 
     [forgiving_oob] (default [true], the historical behavior) selects how
     wild memory accesses behave — see {!Exec.config}. Pass [false]
@@ -33,10 +44,13 @@ val simulate :
 
     [sink] attaches an observability sink ({!Sempe_obs.Sink}) as the
     timing model's probe for this run: per-µop pipeline spans, stall
-    attribution and drain events flow to it. Sinks are passive — with or
-    without one (and in particular with {!Sempe_obs.Sink.null}) the
-    returned reports are identical. The caller owns the sink and must
-    call its [close] itself (simulate does not). *)
+    attribution and drain events flow to it. It is the one way to watch
+    a run: the trace writers, the profiler, the leakage witnesses and the
+    security observables all ride it, and {!Sempe_obs.Sink.tee} joins
+    several. Sinks are passive — with or without one (and in particular
+    with {!Sempe_obs.Sink.null}) the returned reports are identical. The
+    caller owns the sink and must call its [close] itself (simulate does
+    not). *)
 
 val execute :
   ?support:Exec.support

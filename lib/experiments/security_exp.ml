@@ -23,7 +23,9 @@ let view scheme ~key =
   let globals, arrays = Rsa.inputs ~key ~base:1234 ~modulus:99991 in
   let recorder = Observable.recorder () in
   let outcome =
-    Harness.run ~globals ~arrays ~observe:(Observable.feed recorder) built
+    Harness.run ~globals ~arrays
+      ~sink:(Sink.of_probe (Observable.probe recorder))
+      built
   in
   Observable.view recorder outcome.Sempe_core.Run.timing
 

@@ -116,8 +116,10 @@ let check_trace ctx (case : Gen.case) =
     let outcome =
       Harness.run ~fault:ctx.fault ~globals:secrets ~arrays:(arrays_of case)
         ~mem_words:ctx.mem_words
-        ~observe:(Observable.feed recorder)
-        ~sink:(Sink.of_probe (Witness.probe w))
+        ~sink:
+          (Sink.tee
+             (Sink.of_probe (Observable.probe recorder))
+             (Sink.of_probe (Witness.probe w)))
         built
     in
     (Observable.view recorder outcome.Run.timing, w)

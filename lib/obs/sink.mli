@@ -4,10 +4,9 @@
     [Run.simulate ?sink] attaches the probe for the duration of a run;
     the creator of the sink owns the channel and must call [close] (the
     Perfetto sink writes its JSON footer there — the file is invalid
-    without it). The {!null} sink costs nothing: the timing model skips
-    event construction entirely when the probe functions are [ignore]d
-    by an unattached run, and attaching {!null} only pays two indirect
-    calls per µop. *)
+    without it). A run without a sink builds no event. Attaching any
+    sink, {!null} included, makes the timing model build one
+    {!Sempe_pipeline.Probe.uop_event} per µop and call its probe. *)
 
 type t = {
   probe : Sempe_pipeline.Probe.t;

@@ -7,8 +7,10 @@
     cycle, and [Timing.create] without a probe pays nothing (no event is
     even allocated).
 
-    The observability library ({!Sempe_obs}) builds its per-PC profiles
-    and Perfetto trace sinks on top of this interface. *)
+    It is the one way to watch a run. The observability library
+    ({!Sempe_obs}) builds its per-PC profiles and Perfetto trace sinks on
+    top of this interface, and the security library its observables and
+    leakage witnesses. *)
 
 type uop_event = {
   uop : Uop.t;

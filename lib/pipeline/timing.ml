@@ -31,17 +31,18 @@ type t = {
   issue_ports : Ports.t;
   load_ports : Ports.t;
   (* observability: stall-stack accounting is pure bookkeeping and never
-     feeds back into a cycle assignment. The optional probe is captured by
-     [feed_fn] at [create] time — see the staging note there. *)
+     feeds back into a cycle assignment, and neither does the probe. *)
   stalls : int array;
   mutable stall_reason : Stall.bucket;
   mutable c_fetch_cause : Stall.bucket;
   mutable c_dispatch_cause : Stall.bucket;
-  (* per-µop fetch observables for the probe: IL1 line touched by the most
-     recent [fetch] (-1 = rode the previous line) and its extra latency *)
-  mutable c_il1_line : int;
+  (* extra latency of the current µop's fetch and data access *)
   mutable c_fetch_extra : int;
   mutable c_mem_extra : int;
+  probe : Probe.t option;
+  (* IL1 line of the last fetch the probe reported; only the probe path
+     reads or writes it *)
+  mutable probe_line : int;
   (* stores in flight, a direct-mapped ring: slot
      [addr land store_mask] holds the word address of the youngest store
      mapping there and its completion cycle. A collision simply forgets the
@@ -66,69 +67,9 @@ type t = {
   mutable s_spm_cycles : int;
   mutable s_loads : int;
   mutable s_stores : int;
-  (* step loop staged at [create]: probe-attached vs probe-free variants of
-     the feed path, so the no-sink hot path carries neither the option
-     branch nor the probe-only observable writes. *)
+  (* [feed]'s closure, built once at [create] *)
   mutable feed_fn : Uop.event -> unit;
 }
-
-let round_pow2 n =
-  let rec go p = if p >= n then p else go (p * 2) in
-  go 1
-
-let make ?(config = Config.default) ?predictor ?warm ?(store_slots = 4096) () =
-  let warm =
-    match warm with
-    | Some w -> w (* revived (pre-warmed) state; [predictor] is ignored *)
-    | None -> Warm.create ~machine:config ?predictor ()
-  in
-  let store_slots = round_pow2 (Int.max 1 store_slots) in
-  let t =
-    {
-      cfg = config;
-      warm;
-      fetch_cycle = 0;
-      fetched_in_cycle = 0;
-      stall_until = 0;
-      reg_ready = Array.make Reg.count 0;
-      rob_commit = Array.make config.Config.rob_entries 0;
-      iq_issue = Array.make config.Config.iq_entries 0;
-      lq_free = Array.make config.Config.lq_entries 0;
-      sq_free = Array.make config.Config.sq_entries 0;
-      n_uops = 0;
-      n_loads = 0;
-      n_stores = 0;
-      rob_pos = 0;
-      iq_pos = 0;
-      lq_pos = 0;
-      sq_pos = 0;
-      issue_ports = Ports.create config.Config.issue_width;
-      load_ports = Ports.create config.Config.load_issue;
-      stalls = Array.make Stall.count 0;
-      stall_reason = Stall.Base;
-      c_fetch_cause = Stall.Base;
-      c_dispatch_cause = Stall.Base;
-      c_il1_line = -1;
-      c_fetch_extra = 0;
-      c_mem_extra = 0;
-      store_addr = Array.make store_slots (-1);
-      store_done = Array.make store_slots 0;
-      store_mask = store_slots - 1;
-      last_commit_cycle = -1;
-      commits_in_cycle = 0;
-      max_commit = 0;
-      s_instructions = 0;
-      s_cond_branches = 0;
-      s_mispredicts = 0;
-      s_secure_branches = 0;
-      s_drains = 0;
-      s_spm_cycles = 0;
-      s_loads = 0;
-      s_stores = 0;
-      feed_fn = ignore;
-    }
-  in
-  t
 
 let config t = t.cfg
 let hierarchy t = Warm.hierarchy t.warm
@@ -155,11 +96,8 @@ let raise_stall t cycle reason =
   end
 
 (* Assign a fetch cycle to the µop at [pc], honoring width, stalls and the
-   instruction cache. [track_line] is a compile-time-known flag in each
-   staged caller: the IL1-line observable exists only for the probe, and
-   the probe-free path must not pay the two [Warm.fetch_line] reads and
-   field writes per µop. Neither branch changes warm state or any cycle. *)
-let[@inline] fetch t ~pc ~track_line =
+   instruction cache. *)
+let[@inline] fetch t ~pc =
   let cfg = t.cfg in
   let base =
     if t.fetched_in_cycle >= cfg.Config.fetch_width then t.fetch_cycle + 1
@@ -169,17 +107,8 @@ let[@inline] fetch t ~pc ~track_line =
   t.c_fetch_cause <- (if t.stall_until > base then t.stall_reason else Stall.Base);
   (* A hit costs no bubble beyond the pipelined front end; a miss stalls
      fetch for the extra latency. *)
-  let extra =
-    if track_line then begin
-      let line_before = Warm.fetch_line t.warm in
-      let extra = Warm.fetch t.warm ~pc in
-      let line_after = Warm.fetch_line t.warm in
-      t.c_il1_line <- (if line_after = line_before then -1 else line_after);
-      t.c_fetch_extra <- extra;
-      extra
-    end
-    else Warm.fetch t.warm ~pc
-  in
+  let extra = Warm.fetch t.warm ~pc in
+  t.c_fetch_extra <- extra;
   if extra > 0 then t.c_fetch_cause <- Stall.Icache;
   let f = f + extra in
   if f > t.fetch_cycle then begin
@@ -316,29 +245,17 @@ let handle_control t (u : Uop.t) ~complete =
        event that follows already charges the redirect. *)
     break_fetch_group t
 
-(* The µop pipeline walk shared by both staged feed variants. Everything
-   here feeds the report (cycles, stall stack, statistics), so the two
-   variants must agree exactly — the sink-invisibility determinism test
-   pins that the reports stay byte-identical. [track_line] is the only
-   probe-conditional work and is constant-folded per caller.
-   Returns the commit cycle and leaves (f, d, iss, complete, bucket,
-   delta) observables in the scratch fields the probed caller reads. *)
-type scratch = {
-  mutable sc_fetch : int;
-  mutable sc_dispatch : int;
-  mutable sc_issue : int;
-  mutable sc_complete : int;
-  mutable sc_commit : int;
-  mutable sc_delta : int;
-  mutable sc_bucket : Stall.bucket;
-  mutable sc_dcache_miss : bool;
-}
-
-let[@inline] feed_uop_core t (u : Uop.t) ~track_line (sc : scratch) =
+(* One committed µop through fetch, dispatch, issue, completion and
+   commit. With a probe attached it also builds one {!Probe.uop_event};
+   the probe reads what the walk computed and never feeds back, so the
+   report is the same with or without one (the sink-invisibility
+   determinism test pins it). The probe-free branch ends in a tail call
+   to [handle_control]. *)
+let[@inline] feed_uop_core t (u : Uop.t) =
   let cfg = t.cfg in
   let is_load = u.Uop.cls = Instr.Cls_load in
   let is_store = u.Uop.cls = Instr.Cls_store in
-  let f = fetch t ~pc:u.Uop.pc ~track_line in
+  let f = fetch t ~pc:u.Uop.pc in
   let d = dispatch t ~fetch_time:f ~is_load ~is_store in
   let ready =
     (* plain for-loop: [srcs] is a predecoded array shared across commits,
@@ -446,85 +363,116 @@ let[@inline] feed_uop_core t (u : Uop.t) ~track_line (sc : scratch) =
   in
   if delta > 0 then
     t.stalls.(Stall.index bucket) <- t.stalls.(Stall.index bucket) + delta;
-  sc.sc_fetch <- f;
-  sc.sc_dispatch <- d;
-  sc.sc_issue <- iss;
-  sc.sc_complete <- complete;
-  sc.sc_commit <- c;
-  sc.sc_delta <- delta;
-  sc.sc_bucket <- bucket;
-  sc.sc_dcache_miss <- dcache_miss;
-  handle_control t u ~complete
+  match t.probe with
+  | None -> handle_control t u ~complete
+  | Some p ->
+    let mispredicts_before = t.s_mispredicts in
+    handle_control t u ~complete;
+    (* the fetch touched the IL1 iff it left the line of the previous one *)
+    let line = Warm.fetch_line t.warm in
+    let il1_line =
+      if line = t.probe_line then -1
+      else begin
+        t.probe_line <- line;
+        line
+      end
+    in
+    p.Probe.on_uop
+      {
+        Probe.uop = u;
+        fetch = f;
+        dispatch = d;
+        issue = iss;
+        complete;
+        commit = c;
+        bucket;
+        attributed = delta;
+        mispredicted = t.s_mispredicts > mispredicts_before;
+        dcache_miss;
+        il1_line;
+        fetch_extra = t.c_fetch_extra;
+        mem_extra = t.c_mem_extra;
+      }
 
-let make_scratch () =
-  {
-    sc_fetch = 0;
-    sc_dispatch = 0;
-    sc_issue = 0;
-    sc_complete = 0;
-    sc_commit = 0;
-    sc_delta = 0;
-    sc_bucket = Stall.Base;
-    sc_dcache_miss = false;
-  }
-
-let feed_drain_core t ~spm_cycles =
+let feed_drain t ~reason ~spm_cycles =
+  let start = t.max_commit in
   t.s_drains <- t.s_drains + 1;
   t.s_spm_cycles <- t.s_spm_cycles + spm_cycles;
   (* No later µop may dispatch until everything older has committed and the
      SPM transfer has finished. Front-end refill then costs the usual
      pipeline depth on the next µop. *)
   raise_stall t (t.max_commit + 1 + spm_cycles) Stall.Drain;
-  break_fetch_group t
+  break_fetch_group t;
+  match t.probe with
+  | None -> ()
+  | Some p ->
+    p.Probe.on_drain { Probe.reason; spm_cycles; start; resume = t.stall_until }
 
-(* The probe-free specialization: no option branch, no probe-only
-   observable tracking, no event construction. *)
-let feed_fn_noprobe t =
-  let sc = make_scratch () in
-  fun (ev : Uop.event) ->
-    match ev with
-    | Uop.Commit u -> feed_uop_core t u ~track_line:false sc
-    | Uop.Drain { spm_cycles; reason = _ } -> feed_drain_core t ~spm_cycles
+let round_pow2 n =
+  let rec go p = if p >= n then p else go (p * 2) in
+  go 1
 
-(* The probed specialization additionally reports each µop and drain. The
-   probe is passive: nothing it observes feeds back into a cycle. *)
-let feed_fn_probe t (p : Probe.t) =
-  let sc = make_scratch () in
-  fun (ev : Uop.event) ->
-    match ev with
-    | Uop.Commit u ->
-      let mispredicts_before = t.s_mispredicts in
-      feed_uop_core t u ~track_line:true sc;
-      p.Probe.on_uop
-        {
-          Probe.uop = u;
-          fetch = sc.sc_fetch;
-          dispatch = sc.sc_dispatch;
-          issue = sc.sc_issue;
-          complete = sc.sc_complete;
-          commit = sc.sc_commit;
-          bucket = sc.sc_bucket;
-          attributed = sc.sc_delta;
-          mispredicted = t.s_mispredicts > mispredicts_before;
-          dcache_miss = sc.sc_dcache_miss;
-          il1_line = t.c_il1_line;
-          fetch_extra = t.c_fetch_extra;
-          mem_extra = t.c_mem_extra;
-        }
-    | Uop.Drain { spm_cycles; reason } ->
-      let start = t.max_commit in
-      feed_drain_core t ~spm_cycles;
-      p.Probe.on_drain
-        { Probe.reason; spm_cycles; start; resume = t.stall_until }
-
-let create ?config ?predictor ?warm ?store_slots ?probe () =
-  let t = make ?config ?predictor ?warm ?store_slots () in
-  (match probe with
-   | None -> t.feed_fn <- feed_fn_noprobe t
-   | Some p -> t.feed_fn <- feed_fn_probe t p);
+let create ?(config = Config.default) ?predictor ?warm ?(store_slots = 4096)
+    ?probe () =
+  let warm =
+    match warm with
+    | Some w -> w (* revived (pre-warmed) state; [predictor] is ignored *)
+    | None -> Warm.create ~machine:config ?predictor ()
+  in
+  let store_slots = round_pow2 (Int.max 1 store_slots) in
+  let t =
+    {
+      cfg = config;
+      warm;
+      fetch_cycle = 0;
+      fetched_in_cycle = 0;
+      stall_until = 0;
+      reg_ready = Array.make Reg.count 0;
+      rob_commit = Array.make config.Config.rob_entries 0;
+      iq_issue = Array.make config.Config.iq_entries 0;
+      lq_free = Array.make config.Config.lq_entries 0;
+      sq_free = Array.make config.Config.sq_entries 0;
+      n_uops = 0;
+      n_loads = 0;
+      n_stores = 0;
+      rob_pos = 0;
+      iq_pos = 0;
+      lq_pos = 0;
+      sq_pos = 0;
+      issue_ports = Ports.create config.Config.issue_width;
+      load_ports = Ports.create config.Config.load_issue;
+      stalls = Array.make Stall.count 0;
+      stall_reason = Stall.Base;
+      c_fetch_cause = Stall.Base;
+      c_dispatch_cause = Stall.Base;
+      c_fetch_extra = 0;
+      c_mem_extra = 0;
+      probe;
+      probe_line = Warm.fetch_line warm;
+      store_addr = Array.make store_slots (-1);
+      store_done = Array.make store_slots 0;
+      store_mask = store_slots - 1;
+      last_commit_cycle = -1;
+      commits_in_cycle = 0;
+      max_commit = 0;
+      s_instructions = 0;
+      s_cond_branches = 0;
+      s_mispredicts = 0;
+      s_secure_branches = 0;
+      s_drains = 0;
+      s_spm_cycles = 0;
+      s_loads = 0;
+      s_stores = 0;
+      feed_fn = ignore;
+    }
+  in
+  t.feed_fn <-
+    (function
+      | Uop.Commit u -> feed_uop_core t u
+      | Uop.Drain { spm_cycles; reason } -> feed_drain t ~reason ~spm_cycles);
   t
 
-(* Returns the staged closure itself: a caller that passes [feed t] as a
+(* Returns the stored closure itself: a caller that passes [feed t] as a
    sink makes one closure call per event, not a call through a partial
    application that then calls [feed_fn]. *)
 let feed t = t.feed_fn

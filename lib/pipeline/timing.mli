@@ -47,13 +47,16 @@ val create :
 
     [probe] receives one {!Probe.uop_event} per committed µop and one
     {!Probe.drain_event} per drain. It is passive: attaching a probe
-    cannot change any cycle assignment, and without one no event is
-    allocated (the feed path is staged at [create] into probe-attached
-    and probe-free variants). *)
+    cannot change any cycle assignment. There is one feed path: each µop
+    builds its event only when a probe is attached, so without one no
+    event is allocated. [test/ref_timing.ml] restates this model as
+    plain queues and tables, and a QCheck property requires equal
+    reports and equal probe records from both. *)
 
 val feed : t -> Uop.event -> unit
-(** Process the next event in commit order. [feed t] is the closure
-    staged at {!create}, so passing it as a sink adds no call hop. *)
+(** Process the next event in commit order. [feed t] returns the one
+    closure built at {!create}, so passing it as a sink adds no call
+    hop. *)
 
 val config : t -> Config.t
 val hierarchy : t -> Sempe_mem.Hierarchy.t

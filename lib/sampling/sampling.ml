@@ -1,4 +1,5 @@
 module Exec = Sempe_core.Exec
+module Run = Sempe_core.Run
 module Timing = Sempe_pipeline.Timing
 module Config = Sempe_pipeline.Config
 module Warm = Sempe_pipeline.Warm
@@ -88,31 +89,12 @@ let predicted_cost_ratio config =
     +. float_of_int (warmup + config.interval + checkpoint_equiv_instrs)
        /. float_of_int (stride * config.interval)
 
-let exec_config ~support ~(machine : Config.t) ~mem_words ~max_instrs
-    ~forgiving_oob ~fault =
-  {
-    Exec.support;
-    mem_words;
-    max_instrs;
-    spm = machine.Config.spm;
-    jbtable_entries = machine.Config.jbtable_entries;
-    forgiving_oob;
-    fault;
-  }
-
 let intervals_of ~interval n = (n + interval - 1) / interval
 
-(* Degenerate "sample everything" path: one ordinary full detailed run.
-   Independent per-interval measurements cannot sum to the full run's
-   cycle count exactly (pipeline state does not carry across interval
-   boundaries), so full coverage is delivered by the only construction
-   that is exact — contiguous detailed simulation. No pool is involved,
-   which also makes this path trivially identical at any [-j]. *)
-let exact ~machine ~exec_cfg ~interval ?init_mem prog =
-  let timing = Timing.create ~config:machine () in
-  let exec = Exec.run ~config:exec_cfg ?init_mem ~sink:(Timing.feed timing) prog in
-  let report = Timing.report timing in
-  let n = exec.Exec.dyn_instrs in
+(* The estimate of a full detailed run: exact, with a zero-width band. *)
+let of_full_run ~interval (o : Run.outcome) =
+  let report = o.Run.timing in
+  let n = o.Run.exec.Exec.dyn_instrs in
   let cycles = report.Timing.cycles in
   {
     instructions = n;
@@ -153,13 +135,12 @@ let measure ~machine ~interval prog ckpt ~skip =
    pure function of the samples, the total instruction count, and the
    checkpoint volume — so the cold (fast-forward) and warm (plan-revival)
    paths produce byte-identical estimates from the same checkpoints. *)
-let aggregate ~machine ~exec_cfg ~interval ?init_mem prog ~samples ~n_total
-    ~ckpt_bytes =
+let aggregate ~exact ~interval ~samples ~n_total ~ckpt_bytes =
   match samples with
   | [] ->
     (* The program ended before the first checkpoint: nothing was
        sampled, so just measure it exactly — it is tiny by definition. *)
-    exact ~machine ~exec_cfg ~interval ?init_mem prog
+    exact ()
   | samples ->
     let sum_i = List.fold_left (fun a (di, _) -> a + di) 0 samples in
     let sum_c = List.fold_left (fun a (_, dc) -> a + dc) 0 samples in
@@ -213,11 +194,19 @@ let estimate ?(machine = Config.default) ?(support = Exec.Sempe_hw)
   if not (config.coverage > 0. && config.coverage <= 1.) then
     invalid_arg "Sampling.estimate: coverage must be in (0, 1]";
   let interval = config.interval in
-  let exec_cfg =
-    exec_config ~support ~machine ~mem_words ~max_instrs ~forgiving_oob ~fault
+  (* Degenerate "sample everything" path: one ordinary full detailed run.
+     Independent per-interval measurements cannot sum to the full run's
+     cycle count exactly (pipeline state does not carry across interval
+     boundaries), so full coverage is delivered by the only construction
+     that is exact — contiguous detailed simulation. No pool is involved,
+     which also makes this path trivially identical at any [-j]. *)
+  let exact () =
+    of_full_run ~interval
+      (Run.simulate ~support ~machine ~mem_words ~max_instrs ~forgiving_oob
+         ~fault ?init_mem prog)
   in
   let stride = stride_of config in
-  if stride = 1 then exact ~machine ~exec_cfg ~interval ?init_mem prog
+  if stride = 1 then exact ()
   else begin
     let warmup = max 0 config.warmup in
     let offset = ((config.offset mod stride) + stride) mod stride in
@@ -258,18 +247,22 @@ let estimate ?(machine = Config.default) ?(support = Exec.Sempe_hw)
             in
             List.filter (fun (di, _) -> di > 0) (List.map Pool.await promises))
       in
-      aggregate ~machine ~exec_cfg ~interval ?init_mem prog ~samples
-        ~n_total:p.p_instructions ~ckpt_bytes:p.p_bytes
+      aggregate ~exact ~interval ~samples ~n_total:p.p_instructions
+        ~ckpt_bytes:p.p_bytes
     | None when cost_fallback && predicted_cost_ratio config >= fallback_threshold ->
       (* The model predicts the sampled machinery would cost at least
          about as much wall clock as simulating everything in detail:
          deliver the exact answer for the same price instead of a noisy
          estimate plus overhead (this is what made small sampled runs
          *slower* than their full siblings in the rate benchmark). *)
-      exact ~machine ~exec_cfg ~interval ?init_mem prog
+      exact ()
     | None ->
       let warm = Warm.create ~machine () in
-      let sess = Exec.start ~config:exec_cfg ?init_mem ~warm prog in
+      let exec_config =
+        Run.exec_config ~support ~machine ~mem_words ~max_instrs ~forgiving_oob
+          ~fault
+      in
+      let sess = Exec.start ~config:exec_config ?init_mem ~warm prog in
       let pool = Pool.create ~workers () in
       let ckpt_bytes = ref 0 in
       let points = ref [] in
@@ -324,8 +317,7 @@ let estimate ?(machine = Config.default) ?(support = Exec.Sempe_hw)
              p_bytes = !ckpt_bytes;
            }
        | _ -> ());
-      aggregate ~machine ~exec_cfg ~interval ?init_mem prog ~samples ~n_total
-        ~ckpt_bytes:!ckpt_bytes
+      aggregate ~exact ~interval ~samples ~n_total ~ckpt_bytes:!ckpt_bytes
   end
 
 let contains e ~cycles = e.cycles_low <= cycles && cycles <= e.cycles_high

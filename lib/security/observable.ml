@@ -1,4 +1,5 @@
 module Uop = Sempe_pipeline.Uop
+module Probe = Sempe_pipeline.Probe
 module Timing = Sempe_pipeline.Timing
 
 type recorder = {
@@ -28,21 +29,22 @@ let recorder () =
     mem_ops = 0;
   }
 
-let feed r = function
-  | Uop.Commit u ->
-    r.commits <- r.commits + 1;
-    r.pc_digest <- fnv r.pc_digest u.Uop.pc;
-    r.pc_digest2 <- fnv2 r.pc_digest2 u.Uop.pc;
-    (match u.Uop.cls with
-     | Sempe_isa.Instr.Cls_load | Sempe_isa.Instr.Cls_store ->
-       r.mem_ops <- r.mem_ops + 1;
-       r.addr_digest <- fnv r.addr_digest u.Uop.mem_addr;
-       r.addr_digest2 <- fnv2 r.addr_digest2 u.Uop.mem_addr
-     | Sempe_isa.Instr.Cls_nop | Sempe_isa.Instr.Cls_int_alu
-     | Sempe_isa.Instr.Cls_int_mul | Sempe_isa.Instr.Cls_int_div
-     | Sempe_isa.Instr.Cls_branch | Sempe_isa.Instr.Cls_jump
-     | Sempe_isa.Instr.Cls_eosjmp | Sempe_isa.Instr.Cls_halt -> ())
-  | Uop.Drain _ -> ()
+let on_uop r (ev : Probe.uop_event) =
+  let u = ev.Probe.uop in
+  r.commits <- r.commits + 1;
+  r.pc_digest <- fnv r.pc_digest u.Uop.pc;
+  r.pc_digest2 <- fnv2 r.pc_digest2 u.Uop.pc;
+  match u.Uop.cls with
+  | Sempe_isa.Instr.Cls_load | Sempe_isa.Instr.Cls_store ->
+    r.mem_ops <- r.mem_ops + 1;
+    r.addr_digest <- fnv r.addr_digest u.Uop.mem_addr;
+    r.addr_digest2 <- fnv2 r.addr_digest2 u.Uop.mem_addr
+  | Sempe_isa.Instr.Cls_nop | Sempe_isa.Instr.Cls_int_alu
+  | Sempe_isa.Instr.Cls_int_mul | Sempe_isa.Instr.Cls_int_div
+  | Sempe_isa.Instr.Cls_branch | Sempe_isa.Instr.Cls_jump
+  | Sempe_isa.Instr.Cls_eosjmp | Sempe_isa.Instr.Cls_halt -> ()
+
+let probe r = { Probe.on_uop = on_uop r; on_drain = ignore }
 
 let pc_digest r = r.pc_digest
 let addr_digest r = r.addr_digest

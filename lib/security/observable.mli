@@ -10,10 +10,15 @@
     one. *)
 
 type recorder
-(** Streams over the committed-µop events of a run. *)
+(** Digests of the committed-µop stream of a run. *)
 
 val recorder : unit -> recorder
-val feed : recorder -> Sempe_pipeline.Uop.event -> unit
+
+val probe : recorder -> Sempe_pipeline.Probe.t
+(** The timing-model probe that feeds the recorder, one µop record at a
+    time; drains carry nothing it digests. Attach it to a run with
+    [~sink:(Sempe_obs.Sink.of_probe (probe r))], alone or joined to other
+    sinks with {!Sempe_obs.Sink.tee}. *)
 
 val pc_digest : recorder -> int
 (** Digest of the committed-PC sequence (execution-trace channel). *)

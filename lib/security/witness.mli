@@ -29,7 +29,7 @@ val create : ?machine:Sempe_pipeline.Config.t -> unit -> t
 val probe : t -> Sempe_pipeline.Probe.t
 (** The probe that appends this run's events to the witness. Attach it via
     [Timing.create ?probe] / [Run.simulate ?sink] (tee with any other
-    sink). *)
+    sink, e.g. [Observable.probe]'s). *)
 
 val length : t -> stream -> int
 (** Number of events recorded on a stream. *)

@@ -45,12 +45,12 @@ let init_mem_of built ~globals ~arrays mem =
     arrays
 
 let run ?machine ?(mem_words = 1 lsl 20) ?max_instrs ?forgiving_oob ?fault
-    ?(globals = []) ?(arrays = []) ?observe ?sink built =
+    ?(globals = []) ?(arrays = []) ?sink built =
   Run.simulate
     ~support:(Scheme.support built.scheme)
     ?machine ~mem_words ?max_instrs ?forgiving_oob ?fault
     ~init_mem:(init_mem_of built ~globals ~arrays)
-    ?observe ?sink built.prog
+    ?sink built.prog
 
 let sample ?machine ?(mem_words = 1 lsl 20) ?max_instrs ?forgiving_oob ?fault
     ?(globals = []) ?(arrays = []) ?config ?workers ?plan ?plan_out

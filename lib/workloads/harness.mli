@@ -53,14 +53,15 @@ val run :
   -> ?fault:Sempe_core.Exec.fault
   -> ?globals:(string * int) list
   -> ?arrays:(string * int array) list
-  -> ?observe:(Sempe_pipeline.Uop.event -> unit)
   -> ?sink:Sempe_obs.Sink.t
   -> built
   -> Sempe_core.Run.outcome
 (** Simulates on a fresh machine with the scheme's hardware support.
     [globals]/[arrays] initialize named program state (secrets, inputs).
     [forgiving_oob] / [fault] as in {!Sempe_core.Run.simulate}.
-    [sink] attaches an observability sink (see {!Sempe_core.Run.simulate}). *)
+    [sink] attaches an observability sink, the one way to watch the run:
+    e.g. [Sempe_security.Observable.probe] for the security observables
+    (see {!Sempe_core.Run.simulate}). *)
 
 val sample :
   ?machine:Sempe_pipeline.Config.t

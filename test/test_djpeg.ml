@@ -7,6 +7,7 @@ module Harness = Sempe_workloads.Harness
 module Scheme = Sempe_core.Scheme
 module Run = Sempe_core.Run
 module Observable = Sempe_security.Observable
+module Sink = Sempe_obs.Sink
 module Leakage = Sempe_security.Leakage
 
 let run ?(seed = 7) ?(blocks = 2) scheme fmt =
@@ -14,7 +15,9 @@ let run ?(seed = 7) ?(blocks = 2) scheme fmt =
   let globals, arrays = Djpeg.inputs fmt ~seed ~blocks in
   let recorder = Observable.recorder () in
   let outcome =
-    Harness.run ~globals ~arrays ~observe:(Observable.feed recorder) built
+    Harness.run ~globals ~arrays
+      ~sink:(Sink.of_probe (Observable.probe recorder))
+      built
   in
   (built, outcome, Observable.view recorder outcome.Run.timing)
 

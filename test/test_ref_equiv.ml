@@ -12,7 +12,9 @@
    The paged simulated memory ([lib/core/memory.ml]) is bonded the same
    way to the flat [int array] it replaced, and the timing model's
    growable port ring ([lib/pipeline/ports.ml]) to an unbounded table of
-   per-cycle use counts ([Ref_ports]).
+   per-cycle use counts ([Ref_ports]). The timing model itself
+   ([lib/pipeline/timing.ml]) is bonded to [Ref_timing], the same
+   machine written as plain queues and tables.
 
    The streams are derived from a generated PRNG seed rather than a
    generated operation list: QCheck shrinks the seed (useless) but can
@@ -24,6 +26,13 @@ module Memory = Sempe_core.Memory
 module Tage = Sempe_bpred.Tage
 module Ports = Sempe_pipeline.Ports
 module Stats = Sempe_util.Stats
+module Timing = Sempe_pipeline.Timing
+module Config = Sempe_pipeline.Config
+module Warm = Sempe_pipeline.Warm
+module Uop = Sempe_pipeline.Uop
+module Probe = Sempe_pipeline.Probe
+module Stall = Sempe_pipeline.Stall
+module Instr = Sempe_isa.Instr
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -335,6 +344,290 @@ let test_ports_contract () =
     (raises (fun () -> Ports.alloc p ~floor:9 20));
   Alcotest.(check bool) "zero cap" true (raises (fun () -> Ports.create 0))
 
+(* ---- timing model vs Ref_timing ---- *)
+
+let timing_events_per_case = 1_500
+
+(* ROB, IQ, LQ and SQ of 1-16 entries, so every queue fills; widths and
+   latencies anywhere in their valid ranges. *)
+let random_machine rand =
+  let between lo hi = lo + Random.State.int rand (hi - lo + 1) in
+  {
+    Config.default with
+    Config.rob_entries = between 1 16;
+    iq_entries = between 1 16;
+    lq_entries = between 1 16;
+    sq_entries = between 1 16;
+    fetch_width = between 1 8;
+    issue_width = between 1 8;
+    load_issue = between 1 4;
+    retire_width = between 1 12;
+    frontend_depth = between 0 10;
+    redirect_penalty = between 0 6;
+    btb_miss_bubble = between 0 4;
+    lat_int_alu = between 1 3;
+    lat_int_mul = between 1 6;
+    lat_int_div = between 1 24;
+  }
+
+(* A walk through a small code region: straight-line runs of ALU,
+   multiply, divide, load and store µops over eight registers, so
+   dependency chains form, and [addr_range] words of data, broken by
+   every control kind (secure branches included) and by drains with SPM
+   cycles. Branch sites repeat with a per-site bias, so the predictors
+   learn some and miss some; returns mostly match their calls. *)
+let random_events rand ~n ~addr_range =
+  let code = 64 + Random.State.int rand 2048 in
+  let bias = Array.init code (fun _ -> Random.State.int rand 101) in
+  let pc = ref (Random.State.int rand code) in
+  let calls = ref [] in
+  let reg () = 1 + Random.State.int rand 8 in
+  let anywhere () = Random.State.int rand code in
+  List.init n (fun _ ->
+      if Random.State.int rand 100 = 0 then
+        Uop.Drain
+          {
+            reason =
+              (match Random.State.int rand 3 with
+               | 0 -> Uop.Drain_enter_secblock
+               | 1 -> Uop.Drain_after_nt_path
+               | _ -> Uop.Drain_exit_secblock);
+            spm_cycles = Random.State.int rand 48;
+          }
+      else begin
+        let u = Uop.make () in
+        u.Uop.pc <- !pc;
+        u.Uop.srcs <- Array.init (Random.State.int rand 3) (fun _ -> reg ());
+        let next = ref ((!pc + 1) mod code) in
+        let go target =
+          u.Uop.target <- target;
+          next := target
+        in
+        let value cls =
+          u.Uop.cls <- cls;
+          if Random.State.int rand 10 > 0 then u.Uop.dst <- reg ()
+        in
+        (match Random.State.int rand 100 with
+         | k when k < 38 -> value Instr.Cls_int_alu
+         | k when k < 43 -> value Instr.Cls_int_mul
+         | k when k < 46 -> value Instr.Cls_int_div
+         | k when k < 48 -> u.Uop.cls <- Instr.Cls_nop
+         | k when k < 64 ->
+           value Instr.Cls_load;
+           u.Uop.mem_addr <- Random.State.int rand addr_range
+         | k when k < 75 ->
+           u.Uop.cls <- Instr.Cls_store;
+           u.Uop.mem_addr <- Random.State.int rand addr_range
+         | k when k < 89 ->
+           u.Uop.cls <- Instr.Cls_branch;
+           u.Uop.ctl <- Uop.Ctl_branch;
+           u.Uop.secure <- Random.State.int rand 4 = 0;
+           u.Uop.taken <- Random.State.int rand 100 < bias.(!pc);
+           u.Uop.target <- (!pc * 7 + 3) mod code;
+           (* an sJMP always continues at the fall-through *)
+           if u.Uop.taken && not u.Uop.secure then next := u.Uop.target
+         | k when k < 92 ->
+           u.Uop.cls <- Instr.Cls_jump;
+           u.Uop.ctl <- Uop.Ctl_jump;
+           go ((!pc * 5 + 1) mod code)
+         | k when k < 94 ->
+           u.Uop.cls <- Instr.Cls_jump;
+           u.Uop.ctl <- Uop.Ctl_call;
+           u.Uop.return_to <- !next;
+           calls := !next :: !calls;
+           go (anywhere ())
+         | k when k < 96 -> (
+           u.Uop.cls <- Instr.Cls_jump;
+           u.Uop.ctl <- Uop.Ctl_ret;
+           match !calls with
+           | r :: rest when Random.State.int rand 5 > 0 ->
+             calls := rest;
+             go r
+           | _ -> go (anywhere ()))
+         | k when k < 98 ->
+           u.Uop.cls <- Instr.Cls_jump;
+           u.Uop.ctl <- Uop.Ctl_indirect;
+           go ((!pc + (Random.State.int rand 3 * 17)) mod code)
+         | _ ->
+           u.Uop.cls <- Instr.Cls_eosjmp;
+           u.Uop.ctl <- Uop.Ctl_jumpback;
+           go (anywhere ()));
+        pc := !next;
+        Uop.Commit u
+      end)
+
+(* Functional warming, as the fast-forward mode of sampled simulation
+   does it: each µop's [Warm] calls in the timing model's order (fetch,
+   data, control), with no cycle accounting. *)
+let warm_functionally warm events =
+  List.iter
+    (function
+      | Uop.Drain _ -> ()
+      | Uop.Commit u -> (
+        let pc = u.Uop.pc and target = u.Uop.target in
+        ignore (Warm.fetch warm ~pc : int);
+        (match u.Uop.cls with
+         | Instr.Cls_load | Instr.Cls_store ->
+           ignore
+             (Warm.data warm ~pc ~word_addr:u.Uop.mem_addr
+                ~write:(u.Uop.cls = Instr.Cls_store)
+               : int)
+         | _ -> ());
+        match u.Uop.ctl with
+        | Uop.Ctl_none | Uop.Ctl_jumpback -> ()
+        | Uop.Ctl_branch ->
+          if not u.Uop.secure then
+            ignore (Warm.cond_branch warm ~pc ~taken:u.Uop.taken ~target : Warm.cond)
+        | Uop.Ctl_jump -> ignore (Warm.taken_transfer warm ~pc ~target : Warm.transfer)
+        | Uop.Ctl_call ->
+          ignore
+            (Warm.call warm ~pc ~target ~return_to:u.Uop.return_to : Warm.transfer)
+        | Uop.Ctl_ret -> ignore (Warm.ret warm ~target : Warm.target_pred)
+        | Uop.Ctl_indirect -> ignore (Warm.indirect warm ~pc ~target : Warm.target_pred)))
+    events
+
+(* A probe that logs every record as a line, newest first. *)
+let recording_probe () =
+  let log = ref [] in
+  let on_uop (e : Probe.uop_event) =
+    log :=
+      Printf.sprintf
+        "uop pc %d: fetch %d dispatch %d issue %d complete %d commit %d, %s +%d, \
+         mispredicted %b, dcache_miss %b, il1_line %d, fetch_extra %d, mem_extra %d"
+        e.Probe.uop.Uop.pc e.Probe.fetch e.Probe.dispatch e.Probe.issue
+        e.Probe.complete e.Probe.commit (Stall.name e.Probe.bucket)
+        e.Probe.attributed e.Probe.mispredicted e.Probe.dcache_miss
+        e.Probe.il1_line e.Probe.fetch_extra e.Probe.mem_extra
+      :: !log
+  and on_drain (e : Probe.drain_event) =
+    let reason =
+      match e.Probe.reason with
+      | Uop.Drain_enter_secblock -> "enter"
+      | Uop.Drain_after_nt_path -> "after-nt"
+      | Uop.Drain_exit_secblock -> "exit"
+    in
+    log :=
+      Printf.sprintf "drain %s, %d spm cycles: start %d, resume %d" reason
+        e.Probe.spm_cycles e.Probe.start e.Probe.resume
+      :: !log
+  in
+  ({ Probe.on_uop; on_drain }, log)
+
+let report_fields (r : Timing.report) =
+  let i = string_of_int and f = Printf.sprintf "%.17g" in
+  [
+    ("instructions", i r.Timing.instructions); ("cycles", i r.Timing.cycles);
+    ("cpi", f r.Timing.cpi); ("cond_branches", i r.Timing.cond_branches);
+    ("mispredicts", i r.Timing.mispredicts);
+    ("secure_branches", i r.Timing.secure_branches);
+    ("drains", i r.Timing.drains); ("spm_cycles", i r.Timing.spm_cycles);
+    ("loads", i r.Timing.loads); ("stores", i r.Timing.stores);
+    ("il1_miss_rate", f r.Timing.il1_miss_rate);
+    ("dl1_miss_rate", f r.Timing.dl1_miss_rate);
+    ("l2_miss_rate", f r.Timing.l2_miss_rate);
+    ("il1_accesses", i r.Timing.il1_accesses);
+    ("dl1_accesses", i r.Timing.dl1_accesses);
+    ("l2_accesses", i r.Timing.l2_accesses);
+    ("il1_misses", i r.Timing.il1_misses); ("dl1_misses", i r.Timing.dl1_misses);
+    ("l2_misses", i r.Timing.l2_misses); ("il1_sig", i r.Timing.il1_sig);
+    ("dl1_sig", i r.Timing.dl1_sig); ("l2_sig", i r.Timing.l2_sig);
+    ("bpred_sig", i r.Timing.bpred_sig);
+    ( "stall_stack",
+      String.concat " "
+        (List.map2
+           (fun b c -> Printf.sprintf "%s=%d" (Stall.name b) c)
+           Stall.all (Array.to_list r.Timing.stall_stack)) );
+  ]
+
+let check_report_equal ~ctx got want =
+  if got <> want then
+    QCheck.Test.fail_reportf "%s: report diverges from the reference:%s" ctx
+      (String.concat ""
+         (List.filter_map
+            (fun ((name, g), (_, w)) ->
+              if g = w then None
+              else Some (Printf.sprintf "\n  %s: %s, reference %s" name g w))
+            (List.combine (report_fields got) (report_fields want))))
+
+(* One case: a random machine and event stream through the timing model
+   without a probe, the timing model with a recording probe, and the
+   reference with one, each over its own [Warm.t] (cold, or warmed
+   functionally by the same stream). The store ring has more slots than
+   the address range, so it never forgets a store. Returns the
+   reference's report. *)
+let timing_equiv_case seed =
+  let rand = Random.State.make [| seed; 0x71e1 |] in
+  let machine = random_machine rand in
+  let addr_range = 1 lsl (3 + Random.State.int rand 10) in
+  let store_slots = 2 * addr_range in
+  let events = random_events rand ~n:timing_events_per_case ~addr_range in
+  let warming =
+    if Random.State.bool rand then Some (random_events rand ~n:4_000 ~addr_range)
+    else None
+  in
+  let warm () =
+    Option.map
+      (fun evs ->
+        let w = Warm.create ~machine () in
+        warm_functionally w evs;
+        w)
+      warming
+  in
+  let plain = Timing.create ~config:machine ?warm:(warm ()) ~store_slots () in
+  let probe, got_log = recording_probe () in
+  let probed = Timing.create ~config:machine ?warm:(warm ()) ~store_slots ~probe () in
+  let ref_probe, want_log = recording_probe () in
+  let reference = Ref_timing.create ~config:machine ?warm:(warm ()) ~probe:ref_probe () in
+  List.iteri
+    (fun i ev ->
+      Timing.feed plain ev;
+      Timing.feed probed ev;
+      Ref_timing.feed reference ev;
+      (* the sampler reads the frontier mid-run to delimit an interval *)
+      let got = Timing.current_cycles plain
+      and want = Ref_timing.current_cycles reference in
+      if got <> want then
+        QCheck.Test.fail_reportf "event %d: current_cycles %d, reference %d" i got want)
+    events;
+  let want = Ref_timing.report reference in
+  check_report_equal ~ctx:"without a probe" (Timing.report plain) want;
+  check_report_equal ~ctx:"with a probe" (Timing.report probed) want;
+  let rec first_diff i = function
+    | g :: gs, w :: ws ->
+      if g <> w then
+        QCheck.Test.fail_reportf "probe record %d diverges:\n  %s\n  reference %s" i g w
+      else first_diff (i + 1) (gs, ws)
+    | [], [] -> ()
+    | _ -> QCheck.Test.fail_reportf "probe emitted a different number of records"
+  in
+  first_diff 0 (List.rev !got_log, List.rev !want_log);
+  want
+
+let timing_equiv_prop seed =
+  ignore (timing_equiv_case seed : Timing.report);
+  true
+
+(* The bond is only as strong as the paths its streams reach: over a
+   fixed set of cases, every stall bucket must be charged somewhere, and
+   the streams must mispredict, run sJMPs and drain. *)
+let test_timing_bond_coverage () =
+  let stack = Array.make Stall.count 0 in
+  let mispredicts = ref 0 and secure = ref 0 and drains = ref 0 in
+  for seed = 0 to 19 do
+    let r = timing_equiv_case seed in
+    Array.iteri (fun i c -> stack.(i) <- stack.(i) + c) r.Timing.stall_stack;
+    mispredicts := !mispredicts + r.Timing.mispredicts;
+    secure := !secure + r.Timing.secure_branches;
+    drains := !drains + r.Timing.drains
+  done;
+  List.iter
+    (fun b ->
+      if stack.(Stall.index b) = 0 then
+        Alcotest.failf "no case charged the %s bucket" (Stall.name b))
+    Stall.all;
+  Alcotest.(check bool) "mispredicts, sJMPs and drains reached" true
+    (!mispredicts > 0 && !secure > 0 && !drains > 0)
+
 let tests =
   [
     qtest
@@ -352,4 +645,9 @@ let tests =
          ~count:10 QCheck.small_nat ports_equiv_prop);
     Alcotest.test_case "port ring: floor contract and growth" `Quick
       test_ports_contract;
+    qtest
+      (QCheck.Test.make ~name:"timing model equals plain reference scheduler"
+         ~count:80 (QCheck.int_bound 0x3fffffff) timing_equiv_prop);
+    Alcotest.test_case "timing bond: every stall bucket reached" `Quick
+      test_timing_bond_coverage;
   ]

@@ -626,8 +626,11 @@ let front_ends =
           (fun () -> f (Server.Unix_sock path)) );
   ]
 
+(* Reads time out after 10 s: a front end that never replies fails the
+   case with EAGAIN instead of hanging the suite. *)
 let with_raw addr f =
   let fd = Listener.dial addr in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
   Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ()) (fun () -> f fd)
 
 let read_doc fd =

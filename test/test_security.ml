@@ -9,13 +9,16 @@ module Scheme = Sempe_core.Scheme
 module Observable = Sempe_security.Observable
 module Leakage = Sempe_security.Leakage
 module Attacker = Sempe_security.Attacker
+module Sink = Sempe_obs.Sink
 
 let rsa_view scheme ~key =
   let built = Harness.build scheme Rsa.program in
   let globals, arrays = Rsa.inputs ~key ~base:1234 ~modulus:99991 in
   let recorder = Observable.recorder () in
   let outcome =
-    Harness.run ~globals ~arrays ~observe:(Observable.feed recorder) built
+    Harness.run ~globals ~arrays
+      ~sink:(Sink.of_probe (Observable.probe recorder))
+      built
   in
   let expected = Rsa.reference ~key ~base:1234 ~modulus:99991 in
   Alcotest.(check int)
@@ -142,7 +145,9 @@ let ladder_view ~key =
   let globals, arrays = Rsa.inputs ~key ~base:1234 ~modulus:99991 in
   let recorder = Observable.recorder () in
   let outcome =
-    Harness.run ~globals ~arrays ~observe:(Observable.feed recorder) built
+    Harness.run ~globals ~arrays
+      ~sink:(Sink.of_probe (Observable.probe recorder))
+      built
   in
   let expected = Rsa.reference ~key ~base:1234 ~modulus:99991 in
   Alcotest.(check int)
@@ -187,7 +192,6 @@ let tests =
 
 module Witness = Sempe_security.Witness
 module Attribution = Sempe_security.Attribution
-module Sink = Sempe_obs.Sink
 module Gen = Sempe_fuzz.Gen
 
 let zero_view : Observable.view =
@@ -253,8 +257,10 @@ let rsa_witness scheme ~key =
   let w = Witness.create () in
   let outcome =
     Harness.run ~globals ~arrays
-      ~observe:(Observable.feed recorder)
-      ~sink:(Sink.of_probe (Witness.probe w))
+      ~sink:
+        (Sink.tee
+           (Sink.of_probe (Observable.probe recorder))
+           (Sink.of_probe (Witness.probe w)))
       built
   in
   (Observable.view recorder outcome.Sempe_core.Run.timing, w)

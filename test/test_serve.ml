@@ -121,14 +121,33 @@ let test_cache_cost_aware_eviction () =
   Cache.add ~cost:0.01 c "fresh2" 5;
   Alcotest.(check bool) "costly still resident" true (Cache.mem c "costly");
   Alcotest.(check bool) "newer-but-cheap evicted" false (Cache.mem c "cheap-new");
-  (* A sustained stream of cheap one-off inserts never displaces the one
-     expensive entry. *)
-  for i = 0 to 9 do
-    Cache.add ~cost:0.01 c (Printf.sprintf "stream-%d" i) i
+  (* A stream of cheap one-off inserts does not displace the expensive
+     entry at once: each eviction only lifts the cache's inflation floor
+     to the evicted entry's credit. *)
+  let stream = ref 0 in
+  let insert () =
+    Cache.add ~cost:0.01 c (Printf.sprintf "stream-%d" !stream) !stream;
+    incr stream
+  in
+  for _ = 1 to 10 do
+    insert ()
   done;
-  Alcotest.(check bool) "costly outlives the stream" true (Cache.mem c "costly");
+  Alcotest.(check bool) "costly outlives a short stream" true (Cache.mem c "costly");
   Alcotest.(check (float 1e-9)) "resident cost tracked" 5.02
-    (Cache.total_cost_s c)
+    (Cache.total_cost_s c);
+  (* But the floor keeps rising, so a sustained stream ages the expensive
+     entry out. With two cheap slots taking turns, each insert lifts the
+     floor by about half a cheap entry's cost, so the expensive entry's
+     credit is the lowest resident after about 5.0 / 0.005 inserts.
+     Without inflation it would never leave. *)
+  while Cache.mem c "costly" && !stream < 1_500 do
+    insert ()
+  done;
+  Alcotest.(check bool) "costly ages out of a sustained stream" false
+    (Cache.mem c "costly");
+  Alcotest.(check int) "inserts it took" 999 !stream;
+  Alcotest.(check (float 1e-9)) "its cost is accounted as evicted" 5.0
+    (Cache.cost_evicted_s c -. 0.01 *. float_of_int (Cache.evictions c - 1))
 
 let test_cache_to_list () =
   let c = Cache.create ~capacity:3 in

@@ -64,27 +64,44 @@ let measure_perf ~runs =
      rates (and the perf gate that consumes them) stable against
      scheduler noise and cold starts — unlike best-of-N it is also not
      biased optimistic on a machine with bursty interference. *)
-  (* [prepare] runs before each repeat, outside the measured window.
-     Every record finishes a major cycle first, so GC work left pending
-     by the previous measurement (the witness buffers' large allocations,
-     the sampler's worker domains, whose minor collections rendezvous
-     with the main domain) is not charged to the next one. *)
-  let timed ?(prepare = fun () -> ()) f =
-    let times = Array.make runs 0.0 in
-    let result = ref None in
-    for i = 0 to runs - 1 do
-      prepare ();
-      let t0 = Pool.now_s () in
-      let r = f () in
-      times.(i) <- Pool.now_s () -. t0;
-      result := Some r
-    done;
+  (* Every repeat finishes a major cycle first, outside the measured
+     window, so GC work left pending by the previous measurement (the
+     witness buffers' large allocations, the sampler's worker domains,
+     whose minor collections rendezvous with the main domain) is not
+     charged to the next one. *)
+  let time_once f =
+    Gc.full_major ();
+    let t0 = Pool.now_s () in
+    let r = f () in
+    (r, Pool.now_s () -. t0)
+  in
+  let median times =
     Array.sort compare times;
-    let median =
-      if runs land 1 = 1 then times.(runs / 2)
-      else (times.((runs / 2) - 1) +. times.(runs / 2)) /. 2.0
-    in
-    match !result with Some r -> (r, median) | None -> assert false
+    if runs land 1 = 1 then times.(runs / 2)
+    else (times.((runs / 2) - 1) +. times.(runs / 2)) /. 2.0
+  in
+  (* [runs] repeats of [f] and of [g], alternating f, g, f, g, ...: the
+     result of the last repeat of each and the median of each one's
+     times. The gate requires a workload's sampled rate to beat its full
+     one, so both medians must come from the same stretch of host speed;
+     timed back to back, a swing between the two windows could invert
+     them. *)
+  let timed_pair f g =
+    let tf = Array.make runs 0.0 and tg = Array.make runs 0.0 in
+    let last = ref None in
+    for i = 0 to runs - 1 do
+      let a, sa = time_once f in
+      let b, sb = time_once g in
+      tf.(i) <- sa;
+      tg.(i) <- sb;
+      last := Some (a, b)
+    done;
+    match !last with
+    | Some (a, b) -> ((a, median tf), (b, median tg))
+    | None -> assert false
+  in
+  let timed f =
+    median (Array.init runs (fun _ -> snd (time_once f)))
   in
   let workloads =
     let fib =
@@ -114,9 +131,12 @@ let measure_perf ~runs =
   let smoke_failures = ref [] in
   List.iter
     (fun (name, built, globals, arrays) ->
-      let outcome, full_s =
-        timed ~prepare:Gc.full_major (fun () ->
-            Harness.run ~globals ~arrays built)
+      let (outcome, full_s), (est, sampled_s) =
+        timed_pair
+          (fun () -> Harness.run ~globals ~arrays built)
+          (fun () ->
+            Harness.sample ~globals ~arrays ~config:(sample_cfg 0.1) ~workers:2
+              built)
       in
       let report = outcome.Sempe_core.Run.timing in
       let full_cycles = report.Sempe_pipeline.Timing.cycles in
@@ -130,11 +150,6 @@ let measure_perf ~runs =
           p_speedup = 1.0;
         }
         :: !records;
-      let est, sampled_s =
-        timed ~prepare:Gc.full_major (fun () ->
-            Harness.sample ~globals ~arrays ~config:(sample_cfg 0.1) ~workers:2
-              built)
-      in
       records :=
         {
           p_workload = name;
@@ -150,8 +165,8 @@ let measure_perf ~runs =
          committed baseline (the gate only compares records the baseline
          names), but the record makes the witness tax visible in every
          bench run and still has to clear the gate's min-work floor. *)
-      let _, witness_s =
-        timed ~prepare:Gc.full_major (fun () ->
+      let witness_s =
+        timed (fun () ->
             let w = Sempe_security.Witness.create () in
             Harness.run ~globals ~arrays
               ~sink:(Sempe_obs.Sink.of_probe (Sempe_security.Witness.probe w))

@@ -1,10 +1,11 @@
 #!/bin/sh
-# Build guards on the simulator's object code and build flags: the lint
-# kept under the release profile, the compare-free simulator core and
-# the inlined per-µop path. ./ci.sh and both entries of the GitHub
-# workflow's OCaml matrix run this one script, so the checks cannot
-# drift apart. Run it from anywhere in a checkout with dune and objdump
-# on the PATH: `sh ci/guards.sh` (it builds the libraries it inspects).
+# Build guards on the simulator's sources, object code and build flags:
+# the lint kept under the release profile, the one Marshal reader, the
+# compare-free simulator core and the inlined per-µop path. ./ci.sh and
+# both entries of the GitHub workflow's OCaml matrix run this one
+# script, so the checks cannot drift apart. Run it from anywhere in a
+# checkout with dune and objdump on the PATH: `sh ci/guards.sh` (it
+# builds the libraries it inspects).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -15,6 +16,19 @@ echo "== lint: the release build keeps dev's warning set"
 flags=$(dune printenv .)
 echo "$flags" | grep -q -- '-strict-sequence'
 echo "$flags" | grep -qF -- '@1..3@5..28@30..39@43@46..47@49..57@61..62-40'
+
+echo "== one Marshal reader: checkpoints only"
+# Unmarshaling trusts its bytes: a wrong type or a foreign byte string
+# crashes the process rather than raising. Sampling checkpoints are the
+# one reader, of bytes the same process just wrote; any other reader
+# under lib/ fails the build here.
+readers=$(grep -rnE 'Marshal\.(from_string|from_bytes|from_channel)|\binput_value\b' \
+  lib | grep -v '^lib/sampling/checkpoint\.ml:' || true)
+if [ -n "$readers" ]; then
+  echo "Marshal readers outside lib/sampling/checkpoint.ml:"
+  echo "$readers" | sed 's/^/    /'
+  exit 1
+fi
 
 dune build lib/core lib/pipeline lib/mem lib/bpred
 

@@ -18,12 +18,5 @@ let train t i dir =
 
 let reset t = Array.fill t.table 0 (Array.length t.table) (t.mid - 1)
 
-let copy_into ~src ~dst =
-  if
-    Array.length src.table <> Array.length dst.table
-    || src.max <> dst.max || src.mid <> dst.mid
-  then invalid_arg "Counters.copy_into: shape mismatch";
-  Array.blit src.table 0 dst.table 0 (Array.length src.table)
-
 let signature t =
   Array.fold_left (fun acc v -> (acc * 31) + v + 1) 17 t.table

@@ -1,4 +1,4 @@
-(** Saturating counter tables shared by the simple predictors. *)
+(** Saturating counter tables: TAGE's bimodal base. *)
 
 type t
 (** A table of [n]-bit saturating up/down counters. *)
@@ -15,11 +15,6 @@ val train : t -> int -> bool -> unit
 (** Saturating increment (taken) or decrement (not taken). *)
 
 val reset : t -> unit
-
-val copy_into : src:t -> dst:t -> unit
-(** Overwrite [dst]'s counter values with [src]'s. The tables must have the
-    same shape (entry count and bit width). Used to revive a checkpointed
-    predictor state inside an already-constructed instance. *)
 
 val signature : t -> int
 (** Order-dependent hash of all counter values. *)

@@ -17,11 +17,26 @@ let default_config =
     base_bits = 12;
   }
 
+(* Scratch lookup, refilled in place by [lookup]: prediction runs once
+   per committed conditional branch in both execution modes, and an
+   immutable result record (plus the options inside it) would allocate
+   there. -1 encodes "no matching component". [provider_idx]/[alt_idx]
+   are flat cell indices (table * tsize + entry). *)
+type lookup = {
+  mutable provider : int; (* table index of the matching component *)
+  mutable provider_idx : int;
+  mutable alt : int; (* next-longest matching component *)
+  mutable alt_idx : int;
+  mutable base_idx : int;
+}
+
 (* All tagged-component state lives in flat packed int arrays indexed
    [table * (1 lsl table_bits) + entry] instead of per-table arrays of
    entry records: a prediction walks a handful of int-array cells with no
    pointer chasing, and checkpointing a warmed predictor marshals three
-   int arrays instead of a graph of thousands of records.
+   int arrays instead of a graph of thousands of records. The record is
+   plain data throughout (no closures), so a [Warm.t] that holds it
+   marshals as it is.
 
    e_ctr is a 3-bit signed counter in [-4, 3]; taken iff ctr >= 0.
    e_u is a 2-bit usefulness counter.
@@ -49,19 +64,13 @@ type t = {
   mutable head : int; (* next write position *)
   mutable use_alt_on_new : int; (* 4-bit counter biasing weak entries *)
   mutable tick : int; (* aging clock for usefulness counters *)
+  lk : lookup; (* refilled by every [resolve]; no state between branches *)
 }
 
-let history_capacity = 1024
+let fresh_lookup () =
+  { provider = -1; provider_idx = 0; alt = -1; alt_idx = 0; base_idx = 0 }
 
-(* Field by field: a structural [<>] on the record would be a polymorphic
-   compare through the C runtime. *)
-let same_config (a : config) (b : config) =
-  a.num_tables = b.num_tables
-  && a.table_bits = b.table_bits
-  && a.tag_bits = b.tag_bits
-  && a.min_history = b.min_history
-  && a.max_history = b.max_history
-  && a.base_bits = b.base_bits
+let history_capacity = 1024
 
 let geometric_lengths cfg =
   (* L(i) = min * (max/min)^(i/(n-1)), rounded, strictly increasing. *)
@@ -84,7 +93,7 @@ let geometric_lengths cfg =
   done;
   lens
 
-let make cfg =
+let create ?config:(cfg = default_config) () =
   let lens = geometric_lengths cfg in
   let n = cfg.num_tables in
   let tsize = 1 lsl cfg.table_bits in
@@ -106,6 +115,7 @@ let make cfg =
     head = 0;
     use_alt_on_new = 8;
     tick = 0;
+    lk = fresh_lookup ();
   }
 
 let push_history t bit =
@@ -157,20 +167,6 @@ let table_tag t i pc =
   let mask = (1 lsl t.cfg.tag_bits) - 1 in
   (pc lxor Array.unsafe_get t.f_tag1 i lxor (Array.unsafe_get t.f_tag2 i lsl 1))
   land mask
-
-(* Scratch lookup, preallocated per predictor instance and refilled in
-   place by [lookup]: prediction runs once per committed conditional
-   branch in both execution modes, and an immutable result record (plus
-   the options inside it) would allocate there. -1 encodes "no matching
-   component". [provider_idx]/[alt_idx] are flat cell indices
-   (table * tsize + entry). *)
-type lookup = {
-  mutable provider : int; (* table index of the matching component *)
-  mutable provider_idx : int;
-  mutable alt : int; (* next-longest matching component *)
-  mutable alt_idx : int;
-  mutable base_idx : int;
-}
 
 let lookup t lk pc =
   lk.base_idx <- pc land ((1 lsl t.cfg.base_bits) - 1);
@@ -311,70 +307,26 @@ let signature t =
   done;
   !acc lxor t.head
 
-let create ?(config = default_config) () =
-  let t = make config in
-  (* The protocol is strictly predict-then-update per branch (both
-     execution modes go through [Warm.cond_branch]), and only [update]
-     and [reset] mutate predictor state — so the lookup [update] needs is
-     exactly the one [predict] just computed. Memoize it: the re-lookup
-     was the single most expensive part of the update path. The scratch
-     lookup and the memo cells live in the closures only, outside the
-     saved state: [reset] and [load_state] mark the memo stale.
-     [memo_pc = -1] means "stale": [lk] may not describe [pc], so update
-     recomputes (refilling [lk] in place). *)
-  let lk = { provider = -1; provider_idx = 0; alt = -1; alt_idx = 0; base_idx = 0 } in
-  let memo_pc = ref (-1) in
-  let memo_pred = ref false in
-  {
-    Predictor.name = "tage";
-    predict =
-      (fun ~pc ->
-        let p = predict_with t lk pc in
-        memo_pc := pc;
-        memo_pred := p;
-        p);
-    update =
-      (fun ~pc ~taken ->
-        let pred =
-          if !memo_pc = pc then !memo_pred else predict_with t lk pc
-        in
-        memo_pc := -1;
-        update_with t lk pred pc taken);
-    reset =
-      (fun () ->
-        memo_pc := -1;
-        Counters.reset t.base;
-        Array.fill t.e_tag 0 (Array.length t.e_tag) 0;
-        Array.fill t.e_ctr 0 (Array.length t.e_ctr) 0;
-        Array.fill t.e_u 0 (Array.length t.e_u) 0;
-        Array.fill t.f_idx 0 (Array.length t.f_idx) 0;
-        Array.fill t.f_tag1 0 (Array.length t.f_tag1) 0;
-        Array.fill t.f_tag2 0 (Array.length t.f_tag2) 0;
-        Bytes.fill t.history 0 history_capacity '\000';
-        t.head <- 0;
-        t.use_alt_on_new <- 8;
-        t.tick <- 0);
-    snapshot_signature = (fun () -> signature t);
-    save_state =
-      (* The internal record is plain data (flat arrays, bytes, scalars),
-         so it marshals without [Closures] — the closures of this
-         [Predictor.t] are not part of the checkpoint. *)
-      (fun () -> Marshal.to_string t []);
-    load_state =
-      (fun s ->
-        let t' = (Marshal.from_string s 0 : t) in
-        if not (same_config t'.cfg t.cfg) then
-          invalid_arg "Tage.load_state: config mismatch";
-        Counters.copy_into ~src:t'.base ~dst:t.base;
-        Array.blit t'.e_tag 0 t.e_tag 0 (Array.length t.e_tag);
-        Array.blit t'.e_ctr 0 t.e_ctr 0 (Array.length t.e_ctr);
-        Array.blit t'.e_u 0 t.e_u 0 (Array.length t.e_u);
-        Array.blit t'.f_idx 0 t.f_idx 0 (Array.length t.f_idx);
-        Array.blit t'.f_tag1 0 t.f_tag1 0 (Array.length t.f_tag1);
-        Array.blit t'.f_tag2 0 t.f_tag2 0 (Array.length t.f_tag2);
-        Bytes.blit t'.history 0 t.history 0 history_capacity;
-        t.head <- t'.head;
-        t.use_alt_on_new <- t'.use_alt_on_new;
-        t.tick <- t'.tick;
-        memo_pc := -1);
-  }
+(* Predict and train with one lookup: the protocol is strictly
+   predict-then-update per branch (both execution modes go through
+   [Warm.cond_branch]), so the lookup the update needs is exactly the
+   one the prediction just made. *)
+let resolve t ~pc ~taken =
+  let pred = predict_with t t.lk pc in
+  update_with t t.lk pred pc taken;
+  pred
+
+let predict t ~pc = predict_with t (fresh_lookup ()) pc
+
+let reset t =
+  Counters.reset t.base;
+  Array.fill t.e_tag 0 (Array.length t.e_tag) 0;
+  Array.fill t.e_ctr 0 (Array.length t.e_ctr) 0;
+  Array.fill t.e_u 0 (Array.length t.e_u) 0;
+  Array.fill t.f_idx 0 (Array.length t.f_idx) 0;
+  Array.fill t.f_tag1 0 (Array.length t.f_tag1) 0;
+  Array.fill t.f_tag2 0 (Array.length t.f_tag2) 0;
+  Bytes.fill t.history 0 history_capacity '\000';
+  t.head <- 0;
+  t.use_alt_on_new <- 8;
+  t.tick <- 0

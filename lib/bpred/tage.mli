@@ -21,4 +21,28 @@ type config = {
 val default_config : config
 (** Approximates the paper's 31KB budget. *)
 
-val create : ?config:config -> unit -> Predictor.t
+type t
+(** Plain data — flat int arrays, bytes and scalars, no closures — so a
+    [Sempe_pipeline.Warm.t] that holds one marshals as it is. *)
+
+val create : ?config:config -> unit -> t
+(** A cold predictor: empty tagged tables over a weakly not-taken
+    bimodal base. *)
+
+val resolve : t -> pc:int -> taken:bool -> bool
+(** One committed conditional branch: predict the branch at [pc], train
+    with its resolved direction [taken] through the same table lookup,
+    and return the prediction. The timing model and the fast-forward
+    mode call this, through [Warm.cond_branch], for every non-secure
+    conditional branch. *)
+
+val predict : t -> pc:int -> bool
+(** The prediction {!resolve} would return for [pc] now. Pure: [t] is
+    left untouched. For tests. *)
+
+val reset : t -> unit
+(** Back to the state {!create} returns. *)
+
+val signature : t -> int
+(** Hash of the table contents and history position, for the security
+    observables (the branch-predictor side channel of §I). *)

@@ -18,12 +18,12 @@ let exec_config ~support ~(machine : Config.t) ~mem_words ~max_instrs
     fault;
   }
 
-let simulate ?(support = Exec.Sempe_hw) ?(machine = Config.default) ?predictor
+let simulate ?(support = Exec.Sempe_hw) ?(machine = Config.default)
     ?(mem_words = Exec.default_config.Exec.mem_words)
     ?(max_instrs = Exec.default_config.Exec.max_instrs)
     ?(forgiving_oob = true) ?(fault = Exec.No_fault) ?init_mem ?sink prog =
   let probe = Option.map (fun s -> s.Sempe_obs.Sink.probe) sink in
-  let timing = Timing.create ~config:machine ?predictor ?probe () in
+  let timing = Timing.create ~config:machine ?probe () in
   let config =
     exec_config ~support ~machine ~mem_words ~max_instrs ~forgiving_oob ~fault
   in

@@ -22,7 +22,6 @@ val exec_config :
 val simulate :
   ?support:Exec.support
   -> ?machine:Sempe_pipeline.Config.t
-  -> ?predictor:Sempe_bpred.Predictor.t
   -> ?mem_words:int
   -> ?max_instrs:int
   -> ?forgiving_oob:bool
@@ -31,8 +30,8 @@ val simulate :
   -> ?sink:Sempe_obs.Sink.t
   -> Sempe_isa.Program.t
   -> outcome
-(** [simulate prog] runs [prog] to [Halt] on a fresh machine. [support]
-    defaults to [Sempe_hw].
+(** [simulate prog] runs [prog] to [Halt] on a fresh machine: cold caches
+    and a cold TAGE. [support] defaults to [Sempe_hw].
 
     [forgiving_oob] (default [true], the historical behavior) selects how
     wild memory accesses behave — see {!Exec.config}. Pass [false]

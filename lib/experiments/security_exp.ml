@@ -36,7 +36,9 @@ let measure ?(keys = default_keys) () =
     (fun scheme ->
       let views = List.map (fun key -> view scheme ~key) keys in
       let leaky = Leakage.leaky_channels views in
-      let run ~key = (view scheme ~key).Observable.cycles in
+      (* The timing attacker reads the cycle counts of the runs above. *)
+      let by_key = List.combine keys views in
+      let run ~key = (List.assoc key by_key).Observable.cycles in
       let timing_correlation = Attacker.timing_key_correlation ~run ~keys in
       { scheme; leaky; timing_correlation })
     Scheme.all

@@ -412,12 +412,9 @@ let round_pow2 n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 1
 
-let create ?(config = Config.default) ?predictor ?warm ?(store_slots = 4096)
-    ?probe () =
+let create ?(config = Config.default) ?warm ?(store_slots = 4096) ?probe () =
   let warm =
-    match warm with
-    | Some w -> w (* revived (pre-warmed) state; [predictor] is ignored *)
-    | None -> Warm.create ~machine:config ?predictor ()
+    match warm with Some w -> w | None -> Warm.create ~machine:config ()
   in
   let store_slots = round_pow2 (Int.max 1 store_slots) in
   let t =

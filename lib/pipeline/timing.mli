@@ -6,7 +6,7 @@
 
     - fetch width, instruction-cache latency and taken-branch fetch breaks;
     - front-end depth, and redirect stalls after branch mispredictions
-      (direction from the configured predictor, targets from BTB/RAS);
+      (direction from TAGE, targets from BTB/RAS/ITTAGE);
     - ROB / issue-queue / load-queue / store-queue capacity;
     - operand readiness through architectural register dataflow,
       issue-width and load-port contention, functional-unit latencies;
@@ -24,19 +24,15 @@ type t
 
 val create :
   ?config:Config.t
-  -> ?predictor:Sempe_bpred.Predictor.t
   -> ?warm:Warm.t
   -> ?store_slots:int
   -> ?probe:Probe.t
   -> unit
   -> t
-(** [predictor] defaults to a fresh TAGE with the paper's budget.
-
-    [warm] supplies pre-warmed microarchitectural state (caches,
-    predictors, BTB/RAS) instead of the cold default — this is how a
-    sampled run revives a checkpoint inside a fresh timing model. When
-    [warm] is given, [predictor] is ignored (the warm state carries its
-    own predictor).
+(** [warm] supplies pre-warmed microarchitectural state (caches,
+    predictors, BTB/RAS) instead of the cold [Warm.create ~machine:config
+    ()] — this is how a sampled run revives a checkpoint inside a fresh
+    timing model.
 
     [store_slots] (rounded up to a power of two, default 4096) sizes the
     direct-mapped ring of in-flight stores used for store-to-load

@@ -1,12 +1,12 @@
 module Hierarchy = Sempe_mem.Hierarchy
-module Predictor = Sempe_bpred.Predictor
+module Tage = Sempe_bpred.Tage
 module Btb = Sempe_bpred.Btb
 module Ras = Sempe_bpred.Ras
 module Ittage = Sempe_bpred.Ittage
 
 type t = {
   hier : Hierarchy.t;
-  bp : Predictor.t;
+  bp : Tage.t;
   btb : Btb.t;
   ras : Ras.t;
   ittage : Ittage.t;
@@ -31,14 +31,11 @@ let log2_pow2 n =
   end
   else -1
 
-let create ?(machine = Config.default) ?predictor () =
-  let bp =
-    match predictor with Some p -> p | None -> Sempe_bpred.Tage.create ()
-  in
+let create ?(machine = Config.default) () =
   let hcfg = machine.Config.hierarchy in
   {
     hier = Hierarchy.create ~config:hcfg ();
-    bp;
+    bp = Tage.create ();
     btb = Btb.create ();
     ras = Ras.create ();
     ittage = Ittage.create ();
@@ -51,7 +48,6 @@ let create ?(machine = Config.default) ?predictor () =
   }
 
 let hierarchy t = t.hier
-let predictor t = t.bp
 let btb t = t.btb
 let ras t = t.ras
 let ittage t = t.ittage
@@ -92,8 +88,7 @@ type cond =
   | Cond_mispredict
 
 let cond_branch t ~pc ~taken ~target =
-  let predicted = t.bp.Predictor.predict ~pc in
-  t.bp.Predictor.update ~pc ~taken;
+  let predicted = Tage.resolve t.bp ~pc ~taken in
   if predicted <> taken then begin
     (* The resolved branch installs its target even on a mispredict:
        otherwise a taken branch first seen mispredicted keeps paying the
@@ -123,68 +118,8 @@ let indirect t ~pc ~target =
   Ittage.update t.ittage ~pc ~target;
   if predicted = target then Pred_hit else Pred_miss
 
-(* A closure-free image of the warm state. Every component except the
-   direction predictor is already a record of flat arrays and scalars and
-   is carried verbatim; the predictor — the one closure-holding component —
-   contributes its name and its private plain-data state string. The image
-   aliases the live structures, so it must be serialized (the only
-   intended use) before the live [t] is stepped further. *)
-type frozen = {
-  z_hier : Hierarchy.t;
-  z_bp_name : string;
-  z_bp_state : string;
-  z_btb : Btb.t;
-  z_ras : Ras.t;
-  z_ittage : Ittage.t;
-  z_inst_bytes : int;
-  z_word_bytes : int;
-  z_il1_line_bytes : int;
-  z_il1_line_shift : int;
-  z_lat_l1 : int;
-  z_fetch_line : int;
-}
-
-let freeze t =
-  {
-    z_hier = t.hier;
-    z_bp_name = t.bp.Predictor.name;
-    z_bp_state = t.bp.Predictor.save_state ();
-    z_btb = t.btb;
-    z_ras = t.ras;
-    z_ittage = t.ittage;
-    z_inst_bytes = t.inst_bytes;
-    z_word_bytes = t.word_bytes;
-    z_il1_line_bytes = t.il1_line_bytes;
-    z_il1_line_shift = t.il1_line_shift;
-    z_lat_l1 = t.lat_l1;
-    z_fetch_line = t.fetch_line;
-  }
-
-let thaw ?predictor z =
-  let bp =
-    match predictor with Some p -> p | None -> Sempe_bpred.Tage.create ()
-  in
-  if bp.Predictor.name <> z.z_bp_name then
-    invalid_arg
-      (Printf.sprintf "Warm.thaw: frozen state is for predictor %S, not %S"
-         z.z_bp_name bp.Predictor.name);
-  bp.Predictor.load_state z.z_bp_state;
-  {
-    hier = z.z_hier;
-    bp;
-    btb = z.z_btb;
-    ras = z.z_ras;
-    ittage = z.z_ittage;
-    inst_bytes = z.z_inst_bytes;
-    word_bytes = z.z_word_bytes;
-    il1_line_bytes = z.z_il1_line_bytes;
-    il1_line_shift = z.z_il1_line_shift;
-    lat_l1 = z.z_lat_l1;
-    fetch_line = z.z_fetch_line;
-  }
-
 let predictor_signature t =
-  (((t.bp.Predictor.snapshot_signature () * 31) + Btb.signature t.btb) * 31)
+  (((Tage.signature t.bp * 31) + Btb.signature t.btb) * 31)
   + Ittage.signature t.ittage
 
 let cache_signature t = Hierarchy.signature t.hier

@@ -12,20 +12,18 @@
     after [n] committed instructions — which is what makes
     checkpoint-and-measure sampling sound.
 
-    {!freeze}/{!thaw} convert a [Warm.t] to and from a closure-free image
-    of flat arrays and scalars that serializes with plain [Marshal] (no
-    [Closures] flag, not tied to the producing binary) — the basis of
-    [Sempe_sampling.Checkpoint]. *)
+    A [Warm.t] is plain data — flat arrays, bytes and scalars, no
+    closures — so [Sempe_sampling.Checkpoint] marshals it as it is, with
+    no [Closures] flag. [Marshal]'s format is tied to the compiler and to
+    the type, so those bytes never leave the producing process. *)
 
 type t
 
-val create :
-  ?machine:Config.t -> ?predictor:Sempe_bpred.Predictor.t -> unit -> t
-(** Fresh (cold) state for the given machine model. [predictor] defaults
-    to a fresh TAGE. *)
+val create : ?machine:Config.t -> unit -> t
+(** Fresh (cold) state for the given machine model; the direction
+    predictor is a default-configuration TAGE. *)
 
 val hierarchy : t -> Sempe_mem.Hierarchy.t
-val predictor : t -> Sempe_bpred.Predictor.t
 val btb : t -> Sempe_bpred.Btb.t
 val ras : t -> Sempe_bpred.Ras.t
 val ittage : t -> Sempe_bpred.Ittage.t
@@ -68,28 +66,16 @@ type cond =
   | Cond_mispredict
 
 val cond_branch : t -> pc:int -> taken:bool -> target:int -> cond
-(** A committed, non-secure conditional branch: consult and train the
-    direction predictor, and the BTB as appropriate. *)
+(** A committed, non-secure conditional branch: predict and train the
+    TAGE direction predictor ({!Sempe_bpred.Tage.resolve}), and the BTB
+    as appropriate: a mispredicted taken branch still installs its
+    target. *)
 
 type target_pred = Pred_hit | Pred_miss
 
 val call : t -> pc:int -> target:int -> return_to:int -> transfer
 val ret : t -> target:int -> target_pred
 val indirect : t -> pc:int -> target:int -> target_pred
-
-type frozen
-(** A closure-free image of the warm state: flat arrays, bytes and scalars
-    only, safe for plain [Marshal]. The image aliases the live state — it
-    must be serialized before the producing [t] is stepped further. *)
-
-val freeze : t -> frozen
-
-val thaw : ?predictor:Sempe_bpred.Predictor.t -> frozen -> t
-(** Rebuild a live [Warm.t] from a frozen image. The direction predictor
-    is reconstructed by loading the frozen private state into [predictor]
-    (default: a fresh default-configuration TAGE).
-    @raise Invalid_argument when the frozen state belongs to a different
-    predictor kind than [predictor]. *)
 
 val predictor_signature : t -> int
 (** Combined hash over direction predictor, BTB and indirect predictor

@@ -5,15 +5,15 @@ module Warm = Sempe_pipeline.Warm
 (* What actually gets marshaled. The memory image — by far the largest
    component of the architectural state — is swapped for a sparse (index,
    value) encoding of its nonzero words before serialization; everything
-   else (registers, jbTable, register snapshots, SPM) is serialized as-is,
-   and the warm microarchitectural state goes through {!Warm.freeze} into
-   a closure-free image of flat arrays and scalars. Nothing in the payload
-   holds a closure, so plain [Marshal] suffices. The bytes never leave
+   else (registers, jbTable, register snapshots, SPM) and the warm
+   microarchitectural state (flat arrays and scalars) are serialized
+   as-is. Nothing in the payload holds a closure, so plain [Marshal]
+   suffices, and a restore is one unmarshal. The bytes never leave
    the process that produced them: [restore] trusts them, and [Marshal]'s
    format is tied to the compiler and to the payload's type. *)
 type payload = {
   arch : Exec.arch; (* with the memory swapped for an empty one *)
-  warm : Warm.frozen;
+  warm : Warm.t;
   mem_words : int;
   nz_idx : int array;
   nz_val : int array;
@@ -44,7 +44,7 @@ let save ~arch ~warm =
   let payload =
     {
       arch = Exec.arch_with_mem arch (Memory.create 0);
-      warm = Warm.freeze warm;
+      warm;
       mem_words = Memory.length mem;
       nz_idx;
       nz_val;
@@ -60,7 +60,7 @@ let restore t =
   let payload : payload = Marshal.from_string t.bytes 0 in
   let mem = Memory.create payload.mem_words in
   Array.iteri (fun j i -> Memory.set mem i payload.nz_val.(j)) payload.nz_idx;
-  (Exec.arch_with_mem payload.arch mem, Warm.thaw payload.warm)
+  (Exec.arch_with_mem payload.arch mem, payload.warm)
 
 let instructions t = t.instructions
 let halted t = t.halted

@@ -11,14 +11,14 @@
       and indirect-target predictor.
 
     The value is a self-contained byte string ([Marshal]-encoded, with
-    the mostly-zero memory image stored sparsely and the warm state
-    passed through {!Sempe_pipeline.Warm.freeze} into a closure-free
-    image of flat arrays), so restoring it — possibly several times,
-    possibly in other domains — always yields an independent deep copy:
-    parallel measurement jobs never share mutable state. The bytes never
-    leave the process that produced them: {!restore} trusts them, and
-    [Marshal]'s format is tied to the compiler and to the payload's
-    type, so a checkpoint is not a storage or wire format. *)
+    the mostly-zero memory image stored sparsely and the warm state,
+    which is plain data, marshaled as it is), so restoring it — possibly
+    several times, possibly in other domains — always yields an
+    independent deep copy: parallel measurement jobs never share mutable
+    state. The bytes never leave the process that produced them:
+    {!restore} trusts them, and [Marshal]'s format is tied to the
+    compiler and to the payload's type, so a checkpoint is not a storage
+    or wire format. *)
 
 type t
 

@@ -1,14 +1,12 @@
-(* Branch predictor components: saturating counters, bimodal, gshare, TAGE,
-   BTB and the return-address stack. *)
+(* Branch predictor components: saturating counters, TAGE, BTB and the
+   return-address stack. *)
 
 open Sempe_bpred
 
-let accuracy (p : Predictor.t) outcomes =
+let accuracy p outcomes =
   let correct = ref 0 in
   List.iter
-    (fun (pc, taken) ->
-      if p.Predictor.predict ~pc = taken then incr correct;
-      p.Predictor.update ~pc ~taken)
+    (fun (pc, taken) -> if Tage.resolve p ~pc ~taken = taken then incr correct)
     outcomes;
   float_of_int !correct /. float_of_int (List.length outcomes)
 
@@ -23,26 +21,6 @@ let test_counters_saturate () =
   Alcotest.(check bool) "one down still taken" true (Counters.taken t 0);
   for _ = 1 to 10 do Counters.train t 0 false done;
   Alcotest.(check bool) "saturated not-taken" false (Counters.taken t 0)
-
-let test_bimodal_learns_bias () =
-  let p = Bimodal.create () in
-  let acc = accuracy p (repeat 200 [ (100, true) ]) in
-  Alcotest.(check bool) "biased branch learned" true (acc > 0.95)
-
-let test_gshare_learns_alternation () =
-  let p = Gshare.create () in
-  (* warmup, then measure: gshare captures period-2 history. *)
-  ignore (accuracy p (repeat 100 [ (7, true); (7, false) ]));
-  let acc = accuracy p (repeat 100 [ (7, true); (7, false) ]) in
-  Alcotest.(check bool)
-    (Printf.sprintf "alternation learned (%.2f)" acc)
-    true (acc > 0.95)
-
-let test_bimodal_cannot_learn_alternation () =
-  let p = Bimodal.create () in
-  ignore (accuracy p (repeat 100 [ (7, true); (7, false) ]));
-  let acc = accuracy p (repeat 100 [ (7, true); (7, false) ]) in
-  Alcotest.(check bool) "bimodal stuck near 50%" true (acc < 0.7)
 
 let test_tage_learns_long_pattern () =
   let p = Tage.create () in
@@ -70,9 +48,9 @@ let test_tage_multiple_branches () =
 let test_tage_reset () =
   let p = Tage.create () in
   ignore (accuracy p (repeat 50 [ (5, true) ]));
-  let sig_trained = p.Predictor.snapshot_signature () in
-  p.Predictor.reset ();
-  let sig_reset = p.Predictor.snapshot_signature () in
+  let sig_trained = Tage.signature p in
+  Tage.reset p;
+  let sig_reset = Tage.signature p in
   Alcotest.(check bool) "signature changes on reset" true (sig_trained <> sig_reset);
   ignore (accuracy p (repeat 50 [ (5, true) ]));
   Alcotest.(check bool) "relearns after reset" true
@@ -82,8 +60,8 @@ let test_signature_reflects_history () =
   (* Same branch, different outcome sequences -> different state. *)
   let train outcomes =
     let p = Tage.create () in
-    List.iter (fun taken -> p.Predictor.update ~pc:9 ~taken) outcomes;
-    p.Predictor.snapshot_signature ()
+    List.iter (fun taken -> ignore (Tage.resolve p ~pc:9 ~taken)) outcomes;
+    Tage.signature p
   in
   Alcotest.(check bool) "outcome history visible" true
     (train [ true; true; true; true ] <> train [ false; false; false; false ])
@@ -120,31 +98,23 @@ let test_ras () =
   Alcotest.(check (option int)) "top after wrap" (Some 5) (Ras.pop ras)
 
 let prop_predictors_total =
-  (* Any update/predict sequence is safe and prediction is deterministic. *)
+  (* Any resolve sequence is safe, and prediction is deterministic and
+     pure. *)
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"predictors total and deterministic" ~count:100
        QCheck.(small_list (pair (int_range 0 100000) bool))
        (fun stream ->
+         let p = Tage.create () in
+         List.iter (fun (pc, taken) -> ignore (Tage.resolve p ~pc ~taken)) stream;
+         let sig0 = Tage.signature p in
          List.for_all
-           (fun make ->
-             let p = make () in
-             List.iter (fun (pc, taken) -> p.Predictor.update ~pc ~taken) stream;
-             List.for_all
-               (fun (pc, _) ->
-                 p.Predictor.predict ~pc = p.Predictor.predict ~pc)
-               stream)
-           [
-             (fun () -> Bimodal.create ());
-             (fun () -> Gshare.create ());
-             (fun () -> Tage.create ());
-           ]))
+           (fun (pc, _) -> Tage.predict p ~pc = Tage.predict p ~pc)
+           stream
+         && Tage.signature p = sig0))
 
 let tests =
   [
     Alcotest.test_case "counters saturate" `Quick test_counters_saturate;
-    Alcotest.test_case "bimodal learns bias" `Quick test_bimodal_learns_bias;
-    Alcotest.test_case "gshare learns alternation" `Quick test_gshare_learns_alternation;
-    Alcotest.test_case "bimodal misses alternation" `Quick test_bimodal_cannot_learn_alternation;
     Alcotest.test_case "tage learns long pattern" `Quick test_tage_learns_long_pattern;
     Alcotest.test_case "tage multiple branches" `Quick test_tage_multiple_branches;
     Alcotest.test_case "tage reset" `Quick test_tage_reset;

@@ -5,6 +5,8 @@ open Sempe_isa
 module Timing = Sempe_pipeline.Timing
 module Config = Sempe_pipeline.Config
 module Uop = Sempe_pipeline.Uop
+module Warm = Sempe_pipeline.Warm
+module Stall = Sempe_pipeline.Stall
 
 (* Fresh records per event (the timing model never retains them, but list
    literals built once here are replayed across runs). *)
@@ -141,52 +143,32 @@ let test_drain_stalls () =
   Alcotest.(check int) "drain counted" 1 drained.Timing.drains;
   Alcotest.(check int) "spm cycles counted" 500 drained.Timing.spm_cycles
 
-(* A direction predictor scripted per dynamic branch, so tests can force
-   exactly one mispredict. *)
-let scripted_predictor predict_nth =
-  let calls = ref 0 in
-  {
-    Sempe_bpred.Predictor.name = "scripted";
-    predict =
-      (fun ~pc:_ ->
-        let c = !calls in
-        incr calls;
-        predict_nth c);
-    update = (fun ~pc:_ ~taken:_ -> ());
-    reset = (fun () -> calls := 0);
-    snapshot_signature = (fun () -> 0);
-    save_state = (fun () -> "");
-    load_state = (fun _ -> ());
-  }
-
 let test_btb_installed_on_mispredicted_taken () =
   (* Regression: a taken branch must install its BTB target when it
      resolves even if its direction mispredicted; otherwise the branch
      still pays the btb_miss_bubble at its next correctly-predicted taken
      occurrence (and a branch only ever resolved taken under mispredicts
-     never gets a target at all). *)
-  let t = Timing.create ~predictor:(scripted_predictor (fun _ -> false)) () in
-  let sig0 = Timing.predictor_signature t in
-  (* predictor says not-taken, branch is taken: a pure mispredict *)
-  Timing.feed t (branch ~pc:64 ~taken:true ~target:70 ~secure:false);
+     never gets a target at all). A cold TAGE predicts not-taken, so the
+     first taken occurrence of a branch is a pure mispredict. *)
+  let w = Warm.create () in
+  Alcotest.(check bool) "cold predictor mispredicts a taken branch" true
+    (match Warm.cond_branch w ~pc:64 ~taken:true ~target:70 with
+     | Warm.Cond_mispredict -> true
+     | _ -> false);
+  Alcotest.(check (option int)) "resolved taken branch installed its BTB target"
+    (Some 70)
+    (Sempe_bpred.Btb.lookup (Warm.btb w) ~pc:64);
+  (* Behavioral side: with the target installed at resolution, the one
+     mispredict is the only redirect of the run; every later occurrence
+     is predicted taken and hits the BTB. *)
+  let t = Timing.create () in
+  for k = 0 to 39 do
+    Timing.feed t (alu ~pc:(k land 3) ~dst:8 ~srcs:[]);
+    Timing.feed t (branch ~pc:64 ~taken:true ~target:70 ~secure:false)
+  done;
   let r = Timing.report t in
-  Alcotest.(check int) "mispredicted" 1 r.Timing.mispredicts;
-  Alcotest.(check bool) "resolved taken branch installed its BTB target" true
-    (Timing.predictor_signature t <> sig0);
-  (* Behavioral side: with the target installed at resolution, a run whose
-     first occurrence mispredicted costs only the one redirect over the
-     always-correct run, not an extra bubble per branch. *)
-  let branches = 40 in
-  let run predict_nth =
-    let t = Timing.create ~predictor:(scripted_predictor predict_nth) () in
-    for k = 0 to branches - 1 do
-      Timing.feed t (alu ~pc:(k land 3) ~dst:8 ~srcs:[]);
-      Timing.feed t (branch ~pc:64 ~taken:true ~target:70 ~secure:false)
-    done;
-    (Timing.report t).Timing.cycles
-  in
-  let all_correct = run (fun _ -> true) in
-  let first_wrong = run (fun n -> n > 0) in
+  Alcotest.(check int) "one mispredict" 1 r.Timing.mispredicts;
+  let redirect = r.Timing.stall_stack.(Stall.index Stall.Redirect) in
   let slack =
     (* one redirect from resolution plus refilling the drained front end *)
     Config.default.Config.redirect_penalty
@@ -194,10 +176,9 @@ let test_btb_installed_on_mispredicted_taken () =
     + Config.default.Config.btb_miss_bubble
   in
   Alcotest.(check bool)
-    (Printf.sprintf "no per-branch bubble after the mispredict (%d vs %d)"
-       first_wrong all_correct)
-    true
-    (first_wrong <= all_correct + slack)
+    (Printf.sprintf "no per-branch bubble after the mispredict (%d redirect cycles)"
+       redirect)
+    true (redirect <= slack)
 
 let test_store_table_bounded () =
   (* The store-forwarding ring is direct-mapped: occupancy never exceeds

@@ -14,7 +14,8 @@
    growable port ring ([lib/pipeline/ports.ml]) to an unbounded table of
    per-cycle use counts ([Ref_ports]). The timing model itself
    ([lib/pipeline/timing.ml]) is bonded to [Ref_timing], the same
-   machine written as plain queues and tables.
+   machine written as plain queues and tables, and the packed BTB
+   ([lib/bpred/btb.ml]) to [Ref_btb], a list of entries per set.
 
    The streams are derived from a generated PRNG seed rather than a
    generated operation list: QCheck shrinks the seed (useless) but can
@@ -144,15 +145,17 @@ let tage_equiv_prop seed =
           | _ -> !last = (pc land 1 = 0)
         in
         last := taken;
-        let p = packed.Sempe_bpred.Predictor.predict ~pc in
+        let p = Tage.predict packed ~pc in
         let r = Ref_tage.predict reference ~pc in
         if p <> r then
           QCheck.Test.fail_reportf "step %d: prediction diverges at pc %#x"
             step pc;
-        packed.Sempe_bpred.Predictor.update ~pc ~taken;
+        if Tage.resolve packed ~pc ~taken <> p then
+          QCheck.Test.fail_reportf "step %d: resolve and predict disagree at pc %#x"
+            step pc;
         Ref_tage.update reference ~pred:r ~pc ~taken;
         if step mod 20_000 = 0 then begin
-          let ps = packed.Sempe_bpred.Predictor.snapshot_signature () in
+          let ps = Tage.signature packed in
           let rs = Ref_tage.signature reference in
           if ps <> rs then
             QCheck.Test.fail_reportf "step %d: signature %d <> reference %d"
@@ -160,15 +163,45 @@ let tage_equiv_prop seed =
         end;
         (* Rare resets keep the initial-state path equivalent too. *)
         if Random.State.int rand 60_000 = 0 then begin
-          packed.Sempe_bpred.Predictor.reset ();
+          Tage.reset packed;
           Ref_tage.reset reference
         end
       done;
-      let ps = packed.Sempe_bpred.Predictor.snapshot_signature () in
+      let ps = Tage.signature packed in
       let rs = Ref_tage.signature reference in
       if ps <> rs then
         QCheck.Test.fail_reportf "final signature %d <> reference %d" ps rs)
     tage_configs;
+  true
+
+(* ---- BTB vs Ref_btb ---- *)
+
+(* A random geometry (1-8 ways, 1-64 sets) and a stream of updates and
+   finds over 8x the entry count. The pcs come from a pool of four per
+   entry, so sets overflow and evict, and pcs that share a set differ in
+   the bits just above the set index, where a wrong tag shift aliases
+   them. *)
+let btb_equiv_prop seed =
+  let rand = Random.State.make [| seed; 0xb7b |] in
+  let ways = 1 + Random.State.int rand 8 in
+  let entries = ways lsl Random.State.int rand 7 in
+  let btb = Sempe_bpred.Btb.create ~entries ~ways () in
+  let reference = Ref_btb.create ~entries ~ways in
+  let pcs = Array.init (4 * entries) (fun _ -> Random.State.int rand (16 * entries)) in
+  for op = 1 to 8 * entries do
+    let pc = pcs.(Random.State.int rand (Array.length pcs)) in
+    if Random.State.bool rand then begin
+      let target = Random.State.int rand 0x10000 in
+      Sempe_bpred.Btb.update btb ~pc ~target;
+      Ref_btb.update reference ~pc ~target
+    end
+    else begin
+      let got = Sempe_bpred.Btb.find btb ~pc and want = Ref_btb.find reference ~pc in
+      if got <> want then
+        QCheck.Test.fail_reportf "%d ways x %d entries, op %d: find %d = %d, reference %d"
+          ways entries op pc got want
+    end
+  done;
   true
 
 (* ---- paged memory vs a flat int array ---- *)
@@ -636,6 +669,9 @@ let tests =
     qtest
       (QCheck.Test.make ~name:"packed TAGE equals record-based reference"
          ~count:4 QCheck.small_nat tage_equiv_prop);
+    qtest
+      (QCheck.Test.make ~name:"packed BTB equals record-based reference"
+         ~count:200 (QCheck.int_bound 0x3fffffff) btb_equiv_prop);
     qtest
       (QCheck.Test.make ~name:"paged memory equals flat-array reference"
          ~count:10 QCheck.small_nat memory_equiv_prop);

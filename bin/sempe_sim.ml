@@ -867,8 +867,7 @@ let disasm_cmd =
     let workload =
       select_workload which ~width:1 ~iters:1 ~leaf:1 ~blocks:1 ~seed:0 ~key:0
     in
-    let built, _, _ = Api.setup scheme workload in
-    Format.printf "%a@." Sempe_isa.Program.pp built.Harness.prog
+    Format.printf "%a@." Sempe_isa.Program.pp (Api.program scheme workload).Harness.prog
   in
   let which =
     Arg.(value & pos 0 string "rsa" & info [] ~docv:"WORKLOAD"

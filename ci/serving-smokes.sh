@@ -123,7 +123,8 @@ echo "== persistence smoke: store survives a TERM restart, warm p50 beats cold"
 # way out), restart on the same --store-dir: the stats must report
 # disk-loaded entries and the same request mix must now be served from
 # the reloaded cache — its p50 strictly below the cold run's, which
-# paid for real simulation.
+# paid for real simulation. A restart from another executable loads
+# nothing.
 store="$out/store"
 rm -rf "$store"
 "$sim" serve --listen "$sock" --workers 2 --store-dir "$store" \
@@ -146,6 +147,23 @@ grep -q '"disk_loaded_results":[1-9]' "$out/persist-stats.json"
   --json > "$out/persist-warm.json"
 "$sim" client shutdown -c "$sock" > /dev/null
 wait "$srv"
+# A store belongs to the executable that filled it. The same CLI with one
+# byte appended has the same code and another digest: restarted from it,
+# the daemon must load nothing from the store and say so on stderr.
+other="$out/sempe_sim_other.exe"
+cat "$sim" > "$other"
+printf '\n' >> "$other"
+chmod +x "$other"
+"$other" serve --listen "$sock" --workers 2 --store-dir "$store" \
+  2> "$out/persist-other.log" &
+srv=$!
+await_sock "$sock"
+"$sim" client stats -c "$sock" > "$out/persist-other-stats.json"
+"$sim" client shutdown -c "$sock" > /dev/null
+wait "$srv"
+grep -q '"disk_loaded_results":0[,}]' "$out/persist-other-stats.json"
+grep -q 'store skipped: header ".*\\"model\\":\\"[0-9a-f]\{32\}\\"}", this is model [0-9a-f]\{32\}$' \
+  "$out/persist-other.log"
 p50_of() { sed -n 's/.*"p50_s":\([0-9.eE+-]*\).*/\1/p' "$1"; }
 cold_p50=$(p50_of "$out/persist-cold.json")
 warm_p50=$(p50_of "$out/persist-warm.json")

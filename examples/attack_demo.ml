@@ -52,7 +52,7 @@ let () =
         ~sink:(Sink.of_probe (Observable.probe recorder))
         built
     in
-    (Observable.view recorder outcome.Sempe_core.Run.timing).Observable.bpred_sig
+    (Observable.view recorder outcome).Observable.bpred_sig
   in
   List.iter
     (fun scheme ->

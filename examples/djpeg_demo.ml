@@ -22,7 +22,7 @@ let decode scheme fmt ~seed =
       ~sink:(Sink.of_probe (Observable.probe recorder))
       built
   in
-  (outcome, Observable.view recorder outcome.Sempe_core.Run.timing)
+  (outcome, Observable.view recorder outcome)
 
 let () =
   print_endline "=== djpeg: secret image -> PPM / GIF / BMP ===\n";

@@ -4,6 +4,7 @@ module Config = Sempe_pipeline.Config
 type outcome = {
   exec : Exec.result;
   timing : Timing.report;
+  warm : Sempe_pipeline.Warm.t;
 }
 
 let exec_config ~support ~(machine : Config.t) ~mem_words ~max_instrs
@@ -28,7 +29,7 @@ let simulate ?(support = Exec.Sempe_hw) ?(machine = Config.default)
     exec_config ~support ~machine ~mem_words ~max_instrs ~forgiving_oob ~fault
   in
   let exec = Exec.run ~config ?init_mem ~sink:(Timing.feed timing) prog in
-  { exec; timing = Timing.report timing }
+  { exec; timing = Timing.report timing; warm = Timing.warm_state timing }
 
 let execute ?(support = Exec.Sempe_hw) ?(machine = Config.default)
     ?(mem_words = Exec.default_config.Exec.mem_words)

@@ -4,6 +4,10 @@
 type outcome = {
   exec : Exec.result;
   timing : Sempe_pipeline.Timing.report;
+  warm : Sempe_pipeline.Warm.t;
+      (** the caches and predictors as the run left them: the attacker's
+          view of their contents ([Sempe_security.Observable.view]) is
+          read from here, not from [timing] *)
 }
 
 val exec_config :

@@ -27,7 +27,7 @@ let view scheme ~key =
       ~sink:(Sink.of_probe (Observable.probe recorder))
       built
   in
-  Observable.view recorder outcome.Sempe_core.Run.timing
+  Observable.view recorder outcome
 
 (* One job per scheme (each job sweeps all keys); the schemes' runs are
    independent, so they fan out through Batch. *)

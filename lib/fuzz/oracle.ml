@@ -122,7 +122,7 @@ let check_trace ctx (case : Gen.case) =
              (Sink.of_probe (Witness.probe w)))
         built
     in
-    (Observable.view recorder outcome.Run.timing, w)
+    (Observable.view recorder outcome, w)
   in
   let pairs = List.map view case.secrets in
   let views = List.map fst pairs and witnesses = List.map snd pairs in

@@ -494,10 +494,6 @@ type report = {
   il1_misses : int;
   dl1_misses : int;
   l2_misses : int;
-  il1_sig : int;
-  dl1_sig : int;
-  l2_sig : int;
-  bpred_sig : int;
   stall_stack : int array;
 }
 
@@ -528,10 +524,6 @@ let report t =
     il1_misses = mis il1;
     dl1_misses = mis dl1;
     l2_misses = mis l2;
-    il1_sig = Sempe_mem.Cache.signature il1;
-    dl1_sig = Sempe_mem.Cache.signature dl1;
-    l2_sig = Sempe_mem.Cache.signature l2;
-    bpred_sig = Warm.predictor_signature t.warm;
     stall_stack =
       (* Cycle 0 (and any unattributed remainder) goes to the base bucket,
          so the stack sums to [cycles] exactly. *)
@@ -593,6 +585,3 @@ let check_report (r : report) =
     fail "CPI %.6f inconsistent with %d cycles / %d instructions" r.cpi
       r.cycles r.instructions;
   List.rev !bad
-
-let predictor_signature t = Warm.predictor_signature t.warm
-let cache_signature t = Hierarchy.signature (Warm.hierarchy t.warm)

@@ -94,10 +94,6 @@ type report = {
   il1_misses : int;
   dl1_misses : int;
   l2_misses : int;
-  il1_sig : int;   (** content hash of the IL1 after the run *)
-  dl1_sig : int;
-  l2_sig : int;
-  bpred_sig : int; (** predictor + BTB state hash *)
   stall_stack : int array;
       (** CPI stall stack, indexed by {!Stall.index}: every cycle of the
           run attributed to exactly one {!Stall.bucket}. The entries sum
@@ -105,7 +101,10 @@ type report = {
 }
 
 val report : t -> report
-(** Snapshot of the statistics; call after the last {!feed}. *)
+(** Snapshot of the statistics; call after the last {!feed}. It holds
+    counts only: the attacker-view signatures of the caches and
+    predictors (no rendering prints them) are read from {!warm_state}
+    by whoever builds an attacker view ([Sempe_security.Observable]). *)
 
 val check_report : report -> string list
 (** Structural invariants of a well-formed report — the stall stack has
@@ -116,10 +115,3 @@ val check_report : report -> string list
     instructions. Returns one message per violation (empty = healthy).
     The differential fuzzer's timing oracle and the test suite both gate
     on this. *)
-
-val predictor_signature : t -> int
-(** Hash of branch-predictor + BTB state (the branch-predictor side
-    channel). *)
-
-val cache_signature : t -> int
-(** Hash of all cache contents (the cache side channel). *)

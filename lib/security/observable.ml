@@ -1,6 +1,9 @@
 module Uop = Sempe_pipeline.Uop
 module Probe = Sempe_pipeline.Probe
 module Timing = Sempe_pipeline.Timing
+module Warm = Sempe_pipeline.Warm
+module Hierarchy = Sempe_mem.Hierarchy
+module Cache = Sempe_mem.Cache
 
 type recorder = {
   mutable pc_digest : int;
@@ -72,7 +75,12 @@ type view = {
   mispredicts : int;
 }
 
-let view (r : recorder) (report : Timing.report) =
+(* The content signatures hash the whole cache and predictor state, so
+   they are computed here, for the runs that build an attacker view, and
+   not by [Timing.report] for every run. *)
+let view (r : recorder) (o : Sempe_core.Run.outcome) =
+  let report = o.Sempe_core.Run.timing and warm = o.Sempe_core.Run.warm in
+  let hier = Warm.hierarchy warm in
   {
     cycles = report.Timing.cycles;
     instructions = report.Timing.instructions;
@@ -81,10 +89,10 @@ let view (r : recorder) (report : Timing.report) =
     addr_digest = r.addr_digest;
     addr_digest2 = r.addr_digest2;
     mem_ops = r.mem_ops;
-    il1_sig = report.Timing.il1_sig;
-    dl1_sig = report.Timing.dl1_sig;
-    l2_sig = report.Timing.l2_sig;
-    bpred_sig = report.Timing.bpred_sig;
+    il1_sig = Cache.signature (Hierarchy.il1 hier);
+    dl1_sig = Cache.signature (Hierarchy.dl1 hier);
+    l2_sig = Cache.signature (Hierarchy.l2 hier);
+    bpred_sig = Warm.predictor_signature warm;
     il1_accesses = report.Timing.il1_accesses;
     il1_misses = report.Timing.il1_misses;
     dl1_accesses = report.Timing.dl1_accesses;

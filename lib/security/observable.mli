@@ -51,6 +51,8 @@ type view = {
   mispredicts : int;
 }
 
-val view : recorder -> Sempe_pipeline.Timing.report -> view
+val view : recorder -> Sempe_core.Run.outcome -> view
 (** Combine the stream digests with the machine-state signatures and
-    access/miss counters of the finished run. *)
+    access/miss counters of the finished run. The signatures hash the
+    caches and predictors of the outcome's [warm] state; the timing
+    report, which every run builds, carries none of them. *)

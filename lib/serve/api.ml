@@ -81,22 +81,25 @@ let format_named name =
 let rsa_base = 1234
 let rsa_modulus = 99991
 
-let setup scheme workload =
-  match workload with
-  | Microbench { kernel; width; iters; leaf } ->
+(* The compiled program reads only the parameters that shape the code:
+   scheme, kernel/width/iters, format. The rest (leaf, key, seed, blocks)
+   are inputs, synthesized by [setup] for a run and never for a key. *)
+let program scheme = function
+  | Microbench { kernel; width; iters; _ } ->
     let spec = { MB.kernel = kernel_named kernel; width; iters } in
-    ( Harness.build scheme (MB.program ~ct:(ct_of_scheme scheme) spec),
-      MB.secrets_for_leaf ~width ~leaf,
-      [] )
-  | Djpeg { format; blocks; seed } ->
-    let fmt = format_named format in
-    let globals, arrays = Djpeg.inputs fmt ~seed ~blocks in
-    (Harness.build scheme (Djpeg.program fmt), globals, arrays)
-  | Rsa { key } ->
-    let globals, arrays =
-      Rsa.inputs ~key ~base:rsa_base ~modulus:rsa_modulus
-    in
-    (Harness.build scheme Rsa.program, globals, arrays)
+    Harness.build scheme (MB.program ~ct:(ct_of_scheme scheme) spec)
+  | Djpeg { format; _ } -> Harness.build scheme (Djpeg.program (format_named format))
+  | Rsa _ -> Harness.build scheme Rsa.program
+
+let setup scheme workload =
+  let globals, arrays =
+    match workload with
+    | Microbench { width; leaf; _ } -> (MB.secrets_for_leaf ~width ~leaf, [])
+    | Djpeg { format; blocks; seed } ->
+      Djpeg.inputs (format_named format) ~seed ~blocks
+    | Rsa { key } -> Rsa.inputs ~key ~base:rsa_base ~modulus:rsa_modulus
+  in
+  (program scheme workload, globals, arrays)
 
 let describe = function
   | Rsa { key } -> Printf.sprintf "rsa key=0x%04x" key
@@ -191,10 +194,11 @@ let run ?workers request =
     let slowdown =
       match workload with
       | Microbench _ ->
-        let base, _, _ = setup Scheme.Baseline workload in
         Some
           (Run.overhead
-             ~baseline:(Harness.run ~forgiving_oob ~globals base)
+             ~baseline:
+               (Harness.run ~forgiving_oob ~globals
+                  (program Scheme.Baseline workload))
              outcome)
       | Djpeg _ | Rsa _ -> None
     in
@@ -520,10 +524,10 @@ let digests s =
 
 (* Fingerprint of the compiled program image: the response depends on the
    generated code, so two requests whose JSON collides but whose programs
-   differ still get distinct keys. *)
+   differ still get distinct keys. The inputs are in the JSON already, so
+   the key builds the program and synthesizes no input. *)
 let program_digests scheme workload =
-  let built, _, _ = setup scheme workload in
-  digests (Marshal.to_string built.Harness.prog [])
+  digests (Marshal.to_string (program scheme workload).Harness.prog [])
 
 let cache_key request =
   let j1, j2 = digests (Json.to_string (request_to_json request)) in

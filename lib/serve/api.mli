@@ -92,14 +92,21 @@ val full_cycles : Scheme.t -> workload -> strict_oob:bool -> int
     [Simulate], it runs no baseline build, so it times the protected run
     alone. *)
 
+val program : Scheme.t -> workload -> Sempe_workloads.Harness.built
+(** The compiled program of [workload] under [scheme], exactly as {!run}
+    simulates it (the software schemes get the constant-time kernel
+    variants). It reads only the parameters that shape the code: the
+    kernel, width and iters of a microbench and the format of a djpeg.
+    The leaf, the RSA key and the djpeg image's seed and blocks are
+    inputs, and no input is synthesized here: {!cache_key}, [disasm]
+    and a microbench [Simulate]'s baseline build call this. *)
+
 val setup :
   Scheme.t ->
   workload ->
   Sempe_workloads.Harness.built * (string * int) list * (string * int array) list
-(** The compiled program and its initial globals and arrays, exactly as
-    {!run} simulates them (the software schemes get the constant-time
-    kernel variants): for [trace], which attaches its own sink, and
-    [disasm]. *)
+(** {!program} plus the initial globals and arrays {!run} simulates it
+    with: for [trace], which attaches its own sink. *)
 
 val describe : workload -> string
 (** One-line description of a workload, e.g. ["rsa key=0x1234"]: the
@@ -135,7 +142,11 @@ val route_key : request -> int list
 
 val cache_key : request -> int list
 (** Content address of a request's response: two independent FNV digests
-    of the canonical request JSON plus two of the compiled program image
-    (via [Marshal]) for workload-bearing requests. A response may be
-    reused exactly when all four digests match, so a single unlucky hash
-    collision cannot alias two different requests. *)
+    of the canonical request JSON plus, for workload-bearing requests,
+    two of the compiled program image ({!program}, via [Marshal]). A
+    response may be reused exactly when all four digests match, so a
+    single unlucky hash collision cannot alias two different requests.
+    The program digests (elements 3 and 4) depend on the scheme and the
+    code-shaping parameters only: requests that differ in an input alone
+    (leaf, key, seed, blocks) share them, and the JSON digests tell them
+    apart. A key costs one {!program} build and synthesizes no input. *)

@@ -1,12 +1,17 @@
 (* Versioned on-disk store for a shard's response cache.
 
    The store directory holds one file, [responses.v1.jsonl]: one header
-   line naming the store kind and version, then one JSON object per
-   cached response: {"key":[..],"cost_s":..,"response":..}, in recency
-   order (newest first, the order [Cache.to_list] dumps). The response
-   cache is JSON end to end, so its persistent form is too: the file is
-   greppable, survives binary changes by construction, and is read back
-   with the strict JSON parser, never with [Marshal].
+   line naming the store kind, its version and the model that filled
+   it, then one JSON object per cached response:
+   {"key":[..],"cost_s":..,"response":..}, in recency order (newest
+   first, the order [Cache.to_list] dumps). The response cache is JSON
+   end to end, so its persistent form is too: the file is greppable and
+   is read back with the strict JSON parser, never with [Marshal].
+
+   The model is a digest of the executable that rendered the responses.
+   A key digests the request and its compiled program, not the timing
+   model, so a rebuilt simulator could serve another build's bytes under
+   the same key; a store whose header names another model loads nothing.
 
    The file is written atomically (temp file + rename) so a crash
    mid-flush leaves the previous store intact. Loading is forgiving: a
@@ -17,7 +22,9 @@
 
 module Json = Sempe_obs.Json
 
-let responses_header = "{\"store\":\"sempe-serve-responses\",\"version\":1}"
+let responses_header ~model =
+  Printf.sprintf "{\"store\":\"sempe-serve-responses\",\"version\":1,\"model\":%s}"
+    (Json.to_string (Json.Str model))
 
 let responses_file dir = Filename.concat dir "responses.v1.jsonl"
 
@@ -91,10 +98,10 @@ let ensure_dir dir =
 
 (* ---- save ---- *)
 
-let save ~dir ~responses =
+let save ~dir ~model ~responses =
   ensure_dir dir;
   write_atomically (responses_file dir) (fun oc ->
-      output_string oc responses_header;
+      output_string oc (responses_header ~model);
       output_char oc '\n';
       List.iter
         (fun entry ->
@@ -104,7 +111,7 @@ let save ~dir ~responses =
 
 (* ---- load ---- *)
 
-let load ~dir =
+let load ~dir ~model =
   let path = responses_file dir in
   if not (Sys.file_exists path) then empty
   else begin
@@ -121,8 +128,9 @@ let load ~dir =
         []
       | [] -> []
       | header :: lines ->
-        if String.trim header <> responses_header then begin
-          warn "unknown header %S, store skipped" (String.trim header);
+        let header = String.trim header in
+        if header <> responses_header ~model then begin
+          warn "store skipped: header %S, this is model %s" header model;
           []
         end
         else

@@ -37,6 +37,7 @@ type inflight = {
 
 type t = {
   cfg : config;
+  store : (string * string) option;  (* store directory, model digest *)
   listener : Listener.t;
   pool : Pool.t;
   m : Mutex.t;
@@ -216,6 +217,19 @@ let handler t =
 (* ---- lifecycle ---- *)
 
 let start ?(config = default_config) address =
+  (* The store belongs to the executable that filled it, so its header
+     carries this executable's digest, computed once and only for a
+     daemon that has a store. An executable that cannot be read (say,
+     mode 0711) runs without its store rather than refusing to start. *)
+  let store =
+    Option.bind config.store_dir (fun dir ->
+        match Digest.file Sys.executable_name with
+        | digest -> Some (dir, Digest.to_hex digest)
+        | exception Sys_error msg ->
+          Printf.eprintf "[serve] store %s disabled: cannot digest the executable (%s)\n%!"
+            dir msg;
+          None)
+  in
   let listener =
     Listener.create ~max_connections:config.max_connections
       ~max_frame:config.max_frame address
@@ -223,6 +237,7 @@ let start ?(config = default_config) address =
   let t =
     {
       cfg = config;
+      store;
       listener;
       pool = Pool.create ~workers:config.workers ();
       m = Mutex.create ();
@@ -241,10 +256,10 @@ let start ?(config = default_config) address =
      oldest-first so the cache rebuilds the recorded recency order (and,
      should capacities have shrunk, evicts the stalest first). No client
      can connect yet, so no lock is needed. *)
-  (match config.store_dir with
+  (match store with
    | None -> ()
-   | Some dir ->
-     let { Persist.responses; warnings } = Persist.load ~dir in
+   | Some (dir, model) ->
+     let { Persist.responses; warnings } = Persist.load ~dir ~model in
      List.iter (Printf.eprintf "[serve] store: %s\n%!") warnings;
      List.iter
        (fun (key, json, cost) ->
@@ -266,10 +281,10 @@ let stop t =
     (* Every thread is joined and the pool drained: the cache is
        quiescent, flush it. A failed flush must not turn a graceful
        shutdown into a crash — the store is an optimization. *)
-    match t.cfg.store_dir with
+    match t.store with
     | None -> ()
-    | Some dir -> (
-      try Persist.save ~dir ~responses:(Cache.to_list t.results)
+    | Some (dir, model) -> (
+      try Persist.save ~dir ~model ~responses:(Cache.to_list t.results)
       with e ->
         Printf.eprintf "[serve] store flush to %s failed: %s\n%!" dir
           (Printexc.to_string e))

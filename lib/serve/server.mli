@@ -19,7 +19,10 @@
     shutdown flushes it through {!Persist} and the next start reloads
     the store, so a restarted shard answers warm — and, because the store
     holds the exact rendered response bytes, byte-identically — from its
-    first request.
+    first request. The store is tied to the executable that filled it:
+    {!start} digests [Sys.executable_name] once (only when there is a
+    store) and {!Persist} loads nothing from a store another build wrote,
+    since that build's model may render other bytes for the same key.
 
     Security note: the daemon fully trusts its clients. Frames are
     length-capped and parsed with the strict reader, so a malformed or
@@ -49,6 +52,12 @@ type t
 val start : ?config:config -> addr -> t
 (** Bind, listen and serve. Returns once the listener is live (a client
     connecting after [start] returns will not get a connection refusal).
+    With a [store_dir] it first reloads the store written by this
+    executable; a store from another one loads nothing and logs one
+    warning on stderr quoting the store's header and naming this
+    executable's digest. An executable that cannot be read for its
+    digest runs without the store (nothing loaded, nothing flushed)
+    after one stderr warning.
     @raise Unix.Unix_error when the address cannot be bound. *)
 
 val addr : t -> addr

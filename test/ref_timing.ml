@@ -12,7 +12,8 @@
    Caches, predictors, BTB and RAS are the production [Warm.t], whose
    caches and TAGE are bonded to their own references. [Test_ref_equiv]
    drives this model and [Timing] through identical event streams and
-   requires equal reports, stall stack included, and equal probe records.
+   requires equal reports, stall stack included, equal probe records and
+   equal cache and predictor signatures of the two warm states.
    Keep it naive: its value is that it shares no ring, cursor or
    staging with the model under test. *)
 
@@ -393,9 +394,5 @@ let report r : Timing.report =
     il1_misses = stat il1 "misses";
     dl1_misses = stat dl1 "misses";
     l2_misses = stat l2 "misses";
-    il1_sig = Cache.signature il1;
-    dl1_sig = Cache.signature dl1;
-    l2_sig = Cache.signature l2;
-    bpred_sig = Warm.predictor_signature r.warm;
     stall_stack;
   }

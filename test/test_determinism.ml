@@ -12,6 +12,7 @@ module Harness = Sempe_workloads.Harness
 module Rsa = Sempe_workloads.Rsa
 module Sink = Sempe_obs.Sink
 module Profile = Sempe_obs.Profile
+module Warm = Sempe_pipeline.Warm
 
 let with_jobs n f =
   Batch.set_jobs n;
@@ -75,11 +76,15 @@ let test_fig10_cross_kernel_average_missing_width () =
 
 let test_sink_invisible () =
   (* Instrumentation is passive: no sink, the null sink and a live
-     profiling sink must all produce the identical timing report. *)
+     profiling sink must all produce the identical timing report and
+     leave the identical cache and predictor contents. *)
   let report sink =
     let built = Harness.build Scheme.Sempe Rsa.program in
     let globals, arrays = Rsa.inputs ~key:0xa5a5 ~base:1234 ~modulus:99991 in
-    (Harness.run ~globals ~arrays ?sink built).Sempe_core.Run.timing
+    let o = Harness.run ~globals ~arrays ?sink built in
+    ( o.Sempe_core.Run.timing,
+      Warm.cache_signature o.Sempe_core.Run.warm,
+      Warm.predictor_signature o.Sempe_core.Run.warm )
   in
   let plain = report None in
   Alcotest.(check bool) "null sink identical" true (plain = report (Some Sink.null));

@@ -20,6 +20,7 @@ module Scheme = Sempe_core.Scheme
 module Spm = Sempe_mem.Spm
 module Uop = Sempe_pipeline.Uop
 module Timing = Sempe_pipeline.Timing
+module Warm = Sempe_pipeline.Warm
 module Gen = Sempe_fuzz.Gen
 module Harness = Sempe_workloads.Harness
 module Microbench = Sempe_workloads.Microbench
@@ -243,6 +244,11 @@ let check_same ~what ~config ~init_mem prog =
        rep_ref.Timing.cycles rep_new.Timing.cycles)
     true
     (rep_ref = rep_new);
+  let warm_ref = Timing.warm_state t_ref and warm_new = Timing.warm_state t_new in
+  Alcotest.(check int) (what ^ ": cache contents")
+    (Warm.cache_signature warm_ref) (Warm.cache_signature warm_new);
+  Alcotest.(check int) (what ^ ": predictor state")
+    (Warm.predictor_signature warm_ref) (Warm.predictor_signature warm_new);
   (* Fast-forward (no sink) must agree with the instrumented run. *)
   let ff = Exec.run ~config ~init_mem prog in
   Alcotest.(check (array int)) (what ^ ": fast-forward registers") r.r_regs

@@ -19,7 +19,7 @@ let run ?(seed = 7) ?(blocks = 2) scheme fmt =
       ~sink:(Sink.of_probe (Observable.probe recorder))
       built
   in
-  (built, outcome, Observable.view recorder outcome.Run.timing)
+  (built, outcome, Observable.view recorder outcome)
 
 let test_sempe_matches_baseline () =
   List.iter

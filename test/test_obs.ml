@@ -9,6 +9,7 @@ module Run = Sempe_core.Run
 module Scheme = Sempe_core.Scheme
 module Timing = Sempe_pipeline.Timing
 module Stall = Sempe_pipeline.Stall
+module Warm = Sempe_pipeline.Warm
 module Harness = Sempe_workloads.Harness
 module Rsa = Sempe_workloads.Rsa
 module MB = Sempe_workloads.Microbench
@@ -78,9 +79,12 @@ let test_stall_stack_render () =
 (* ---- null-sink identity ---- *)
 
 let test_null_sink_identity () =
-  let plain = (rsa_outcome Scheme.Sempe).Run.timing in
-  let nulled = (rsa_outcome ~sink:Sink.null Scheme.Sempe).Run.timing in
-  Alcotest.(check bool) "reports identical" true (plain = nulled)
+  let state (o : Run.outcome) =
+    (o.Run.timing, Warm.cache_signature o.Run.warm, Warm.predictor_signature o.Run.warm)
+  in
+  let plain = state (rsa_outcome Scheme.Sempe) in
+  let nulled = state (rsa_outcome ~sink:Sink.null Scheme.Sempe) in
+  Alcotest.(check bool) "reports and warm state identical" true (plain = nulled)
 
 (* ---- counters ---- *)
 

@@ -14,8 +14,10 @@
    growable port ring ([lib/pipeline/ports.ml]) to an unbounded table of
    per-cycle use counts ([Ref_ports]). The timing model itself
    ([lib/pipeline/timing.ml]) is bonded to [Ref_timing], the same
-   machine written as plain queues and tables, and the packed BTB
-   ([lib/bpred/btb.ml]) to [Ref_btb], a list of entries per set.
+   machine written as plain queues and tables, the packed BTB
+   ([lib/bpred/btb.ml]) to [Ref_btb], a list of entries per set, and the
+   packed ITTAGE ([lib/bpred/ittage.ml]) to [Ref_ittage], entry records
+   over a list of recent targets.
 
    The streams are derived from a generated PRNG seed rather than a
    generated operation list: QCheck shrinks the seed (useless) but can
@@ -25,6 +27,7 @@
 module Cache = Sempe_mem.Cache
 module Memory = Sempe_core.Memory
 module Tage = Sempe_bpred.Tage
+module Ittage = Sempe_bpred.Ittage
 module Ports = Sempe_pipeline.Ports
 module Stats = Sempe_util.Stats
 module Timing = Sempe_pipeline.Timing
@@ -202,6 +205,80 @@ let btb_equiv_prop seed =
           ways entries op pc got want
     end
   done;
+  true
+
+(* ---- ITTAGE vs Ref_ittage ---- *)
+
+(* Resets come only in the first half of a case, and the second half
+   alone is longer than the usefulness aging period (65,536 updates), so
+   every case ages its entries at least once. *)
+let ittage_updates_per_case = 140_000
+
+(* A random geometry (1-6 components of 4-256 entries, 3-10 tag bits,
+   histories between 1 and 64, a last-target table of 4-512 entries) and
+   a stream over a pool of indirect sites, each monomorphic, cycling
+   through its targets, or choosing its target by the previous resolved
+   one, so providers come from every history length; few tag bits alias
+   the sites, and a few resets restart from the cold state. *)
+let ittage_equiv_prop seed =
+  let rand = Random.State.make [| seed; 0x177a6e |] in
+  let between lo hi = lo + Random.State.int rand (hi - lo + 1) in
+  let min_history = between 1 8 in
+  let config =
+    {
+      Ittage.num_tables = between 1 6;
+      table_bits = between 2 8;
+      tag_bits = between 3 10;
+      min_history;
+      max_history = between min_history 64;
+      base_bits = between 2 9;
+    }
+  in
+  let packed = Ittage.create ~config () and reference = Ref_ittage.create ~config () in
+  let fail step fmt =
+    QCheck.Test.fail_reportf
+      ("%d tables of 2^%d, %d tag bits, history %d-%d, base 2^%d, update %d: " ^^ fmt)
+      config.Ittage.num_tables config.Ittage.table_bits config.Ittage.tag_bits
+      config.Ittage.min_history config.Ittage.max_history config.Ittage.base_bits step
+  in
+  let check_signature step =
+    let got = Ittage.signature packed and want = Ref_ittage.signature reference in
+    if got <> want then fail step "signature %d, reference %d" got want
+  in
+  let sites = between 4 64 in
+  let pcs = Array.init sites (fun _ -> Random.State.int rand 0x100000) in
+  let kinds = Array.init sites (fun _ -> Random.State.int rand 3) in
+  let targets =
+    Array.init sites (fun _ ->
+        Array.init (between 1 6) (fun _ -> Random.State.int rand 0x100000))
+  in
+  let visits = Array.make sites 0 in
+  let last = ref 0 in
+  for step = 1 to ittage_updates_per_case do
+    let i = Random.State.int rand sites in
+    let pc = pcs.(i) and ts = targets.(i) in
+    let target =
+      match kinds.(i) with
+      | 0 -> ts.(0)
+      | 1 -> ts.(visits.(i) mod Array.length ts)
+      | _ -> ts.(!last mod Array.length ts)
+    in
+    visits.(i) <- visits.(i) + 1;
+    last := target;
+    let got = Ittage.predict_value packed ~pc
+    and want = Ref_ittage.predict_value reference ~pc in
+    if got <> want then fail step "pc %#x predicted %d, reference %d" pc got want;
+    Ittage.update packed ~pc ~target;
+    Ref_ittage.update reference ~pc ~target;
+    if step mod 1_000 = 0 then check_signature step;
+    if step <= ittage_updates_per_case / 2 && Random.State.int rand 20_000 = 0
+    then begin
+      Ittage.reset packed;
+      Ref_ittage.reset reference;
+      check_signature step
+    end
+  done;
+  check_signature ittage_updates_per_case;
   true
 
 (* ---- paged memory vs a flat int array ---- *)
@@ -562,9 +639,7 @@ let report_fields (r : Timing.report) =
     ("dl1_accesses", i r.Timing.dl1_accesses);
     ("l2_accesses", i r.Timing.l2_accesses);
     ("il1_misses", i r.Timing.il1_misses); ("dl1_misses", i r.Timing.dl1_misses);
-    ("l2_misses", i r.Timing.l2_misses); ("il1_sig", i r.Timing.il1_sig);
-    ("dl1_sig", i r.Timing.dl1_sig); ("l2_sig", i r.Timing.l2_sig);
-    ("bpred_sig", i r.Timing.bpred_sig);
+    ("l2_misses", i r.Timing.l2_misses);
     ( "stall_stack",
       String.concat " "
         (List.map2
@@ -581,6 +656,24 @@ let check_report_equal ~ctx got want =
               if g = w then None
               else Some (Printf.sprintf "\n  %s: %s, reference %s" name g w))
             (List.combine (report_fields got) (report_fields want))))
+
+(* The content signatures of a warm state, the four an attacker view
+   reads ([Sempe_security.Observable.view]). *)
+let warm_signatures w =
+  let h = Warm.hierarchy w in
+  [
+    ("il1_sig", Cache.signature (Sempe_mem.Hierarchy.il1 h));
+    ("dl1_sig", Cache.signature (Sempe_mem.Hierarchy.dl1 h));
+    ("l2_sig", Cache.signature (Sempe_mem.Hierarchy.l2 h));
+    ("bpred_sig", Warm.predictor_signature w);
+  ]
+
+let check_warm_equal ~ctx got want =
+  List.iter2
+    (fun (name, g) (_, w) ->
+      if g <> w then
+        QCheck.Test.fail_reportf "%s: %s %d, reference %d" ctx name g w)
+    (warm_signatures got) (warm_signatures want)
 
 (* One case: a random machine and event stream through the timing model
    without a probe, the timing model with a recording probe, and the
@@ -625,6 +718,9 @@ let timing_equiv_case seed =
   let want = Ref_timing.report reference in
   check_report_equal ~ctx:"without a probe" (Timing.report plain) want;
   check_report_equal ~ctx:"with a probe" (Timing.report probed) want;
+  let ref_warm = reference.Ref_timing.warm in
+  check_warm_equal ~ctx:"without a probe" (Timing.warm_state plain) ref_warm;
+  check_warm_equal ~ctx:"with a probe" (Timing.warm_state probed) ref_warm;
   let rec first_diff i = function
     | g :: gs, w :: ws ->
       if g <> w then
@@ -672,6 +768,9 @@ let tests =
     qtest
       (QCheck.Test.make ~name:"packed BTB equals record-based reference"
          ~count:200 (QCheck.int_bound 0x3fffffff) btb_equiv_prop);
+    qtest
+      (QCheck.Test.make ~name:"packed ITTAGE equals record-based reference"
+         ~count:6 (QCheck.int_bound 0x3fffffff) ittage_equiv_prop);
     qtest
       (QCheck.Test.make ~name:"paged memory equals flat-array reference"
          ~count:10 QCheck.small_nat memory_equiv_prop);

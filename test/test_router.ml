@@ -100,6 +100,9 @@ let fresh_dir name =
   at_exit (fun () -> wipe dir);
   dir
 
+(* The model digest the store tests save and load under. *)
+let model = "model-a"
+
 let test_persist_roundtrip () =
   let dir = fresh_dir "persist" in
   let responses =
@@ -108,20 +111,20 @@ let test_persist_roundtrip () =
       ([ 55; 66 ], Json.Str "leakage-matrix", 0.25);
     ]
   in
-  Persist.save ~dir ~responses;
-  let loaded = Persist.load ~dir in
+  Persist.save ~dir ~model ~responses;
+  let loaded = Persist.load ~dir ~model in
   Alcotest.(check (list string)) "clean load has no warnings" []
     loaded.Persist.warnings;
   Alcotest.(check bool) "responses survive byte-for-byte, in order" true
     (loaded.Persist.responses = responses);
   (* a second save atomically replaces the first *)
-  Persist.save ~dir ~responses:[ List.hd responses ];
+  Persist.save ~dir ~model ~responses:[ List.hd responses ];
   Alcotest.(check int) "rewrite replaces the store" 1
-    (List.length (Persist.load ~dir).Persist.responses)
+    (List.length (Persist.load ~dir ~model).Persist.responses)
 
 let test_persist_corruption_tolerated () =
   Alcotest.(check bool) "missing dir loads empty" true
-    (Persist.load ~dir:(fresh_dir "persist-none")
+    (Persist.load ~dir:(fresh_dir "persist-none") ~model
     = Persist.{ responses = []; warnings = [] });
   let dir = fresh_dir "persist-bad" in
   Unix.mkdir dir 0o755;
@@ -131,27 +134,73 @@ let test_persist_corruption_tolerated () =
     close_out oc
   in
   write "responses.v1.jsonl" "{\"store\":\"other\",\"version\":9}\n{}\n";
-  let loaded = Persist.load ~dir in
+  let loaded = Persist.load ~dir ~model in
   Alcotest.(check int) "nothing loads from a foreign store" 0
     (List.length loaded.Persist.responses);
   Alcotest.(check int) "the skipped file warns once" 1
     (List.length loaded.Persist.warnings);
   (* a valid header with one corrupt line: the good entries still load *)
   write "responses.v1.jsonl"
-    ("{\"store\":\"sempe-serve-responses\",\"version\":1}\n"
+    ("{\"store\":\"sempe-serve-responses\",\"version\":1,\"model\":\"model-a\"}\n"
    ^ "{\"key\":[1,2],\"cost_s\":0.5,\"response\":{\"ok\":1}}\n"
    ^ "this is not json\n");
-  let loaded = Persist.load ~dir in
+  let loaded = Persist.load ~dir ~model in
   Alcotest.(check int) "good entry loads past the corrupt one" 1
     (List.length loaded.Persist.responses);
   (* a store that cannot be read is skipped, not a failed start *)
   let dir = fresh_dir "persist-unreadable" in
   Unix.mkdir dir 0o755;
   Unix.mkdir (Filename.concat dir "responses.v1.jsonl") 0o755;
-  let loaded = Persist.load ~dir in
+  let loaded = Persist.load ~dir ~model in
   Alcotest.(check int) "an unreadable store loads empty" 0
     (List.length loaded.Persist.responses);
   Alcotest.(check int) "and warns once" 1 (List.length loaded.Persist.warnings)
+
+(* A store belongs to the model that wrote it: loading under another
+   model digest, or from a header that names none (as every store
+   written before the digest existed), loads no entry and warns once,
+   quoting the store's header and naming this model. *)
+let test_persist_other_model () =
+  let dir = fresh_dir "persist-model" in
+  let responses =
+    [
+      ([ 1; 2; 3; 4 ], Json.Obj [ ("cycles", Json.Int 7) ], 1.5);
+      ([ 5; 6 ], Json.Str "leakage-matrix", 0.25);
+    ]
+  in
+  Persist.save ~dir ~model ~responses;
+  let same = Persist.load ~dir ~model in
+  Alcotest.(check bool) "the same model loads every line" true
+    (same.Persist.responses = responses && same.Persist.warnings = []);
+  let contains hay needle =
+    let n = String.length needle in
+    let rec go i =
+      i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1))
+    in
+    go 0
+  in
+  let skipped ~ctx ~model ~header =
+    let other = Persist.load ~dir ~model in
+    Alcotest.(check int) (ctx ^ ": no entry loads") 0
+      (List.length other.Persist.responses);
+    match other.Persist.warnings with
+    | [ w ] ->
+      Alcotest.(check bool) (ctx ^ ": the warning quotes the header") true
+        (contains w (String.escaped header));
+      Alcotest.(check bool) (ctx ^ ": the warning names this model") true
+        (contains w ("this is model " ^ model))
+    | ws -> Alcotest.failf "%s: %d warnings, expected one" ctx (List.length ws)
+  in
+  let path = Filename.concat dir "responses.v1.jsonl" in
+  let image = In_channel.with_open_bin path In_channel.input_all in
+  let nl = String.index image '\n' in
+  skipped ~ctx:"another model" ~model:"model-b" ~header:(String.sub image 0 nl);
+  (* the same entries under the header a store had before the digest *)
+  let no_model = "{\"store\":\"sempe-serve-responses\",\"version\":1}" in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc no_model;
+      output_string oc (String.sub image nl (String.length image - nl)));
+  skipped ~ctx:"a header without a model" ~model ~header:no_model
 
 (* Damage to a saved store: one byte flipped, or the file cut short.
    Loading never raises, and every entry line the damage did not reach
@@ -179,7 +228,7 @@ let test_persist_damage =
        (fun (responses, (cut, pos, mask)) ->
          let dir = Lazy.force dir in
          let path = Filename.concat dir "responses.v1.jsonl" in
-         Persist.save ~dir ~responses;
+         Persist.save ~dir ~model ~responses;
          let image = In_channel.with_open_bin path In_channel.input_all in
          let pos = pos mod String.length image in
          let damaged =
@@ -190,7 +239,7 @@ let test_persist_damage =
                image
          in
          Out_channel.with_open_bin path (fun oc -> output_string oc damaged);
-         let loaded = Persist.load ~dir in
+         let loaded = Persist.load ~dir ~model in
          (* (first byte, closing newline) of each entry line *)
          let header_end = String.index image '\n' in
          let spans, _ =
@@ -704,6 +753,8 @@ let tests =
       test_ring_bounded_remapping;
     Alcotest.test_case "persist: store round-trip" `Quick test_persist_roundtrip;
     test_persist_damage;
+    Alcotest.test_case "persist: store from another model skipped" `Quick
+      test_persist_other_model;
     Alcotest.test_case "persist: corruption tolerated" `Quick
       test_persist_corruption_tolerated;
     Alcotest.test_case "daemon: store survives restart" `Quick

@@ -181,12 +181,17 @@ let test_checkpoint_roundtrip () =
       | Sempe_pipeline.Uop.Drain _ -> ()
     in
     let res = Exec.finish (Exec.resume ~sink prog arch) in
-    (!digest, Timing.report timing, res)
+    let w = Timing.warm_state timing in
+    ( !digest,
+      Timing.report timing,
+      (Warm.cache_signature w, Warm.predictor_signature w),
+      res )
   in
-  let d1, r1, res1 = replay () in
-  let d2, r2, res2 = replay () in
+  let d1, r1, s1, res1 = replay () in
+  let d2, r2, s2, res2 = replay () in
   Alcotest.(check int) "remaining trace digests agree" d1 d2;
   Alcotest.(check bool) "remaining reports agree" true (r1 = r2);
+  Alcotest.(check (pair int int)) "final cache and predictor state agree" s1 s2;
   Alcotest.(check int) "remaining instructions" (reference.Exec.dyn_instrs - cut)
     r1.Timing.instructions;
   Alcotest.(check int) "total instructions"

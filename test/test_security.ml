@@ -25,7 +25,7 @@ let rsa_view scheme ~key =
     (Printf.sprintf "%s key=%d result" (Scheme.name scheme) key)
     expected
     (Harness.return_value outcome);
-  Observable.view recorder outcome.Sempe_core.Run.timing
+  Observable.view recorder outcome
 
 let keys = [ 0x0000; 0xffff; 0xa5a5; 0x0001; 0x8000; 0x1234 ]
 
@@ -154,7 +154,7 @@ let ladder_view ~key =
     (Printf.sprintf "ladder key=%d result" key)
     expected
     (Harness.return_value outcome);
-  Observable.view recorder outcome.Sempe_core.Run.timing
+  Observable.view recorder outcome
 
 let test_ct_ladder_silent_on_plain_hw () =
   let views = List.map (fun key -> ladder_view ~key) keys in
@@ -263,7 +263,7 @@ let rsa_witness scheme ~key =
            (Sink.of_probe (Witness.probe w)))
       built
   in
-  (Observable.view recorder outcome.Sempe_core.Run.timing, w)
+  (Observable.view recorder outcome, w)
 
 let test_first_divergence_indices () =
   let wkeys = [ 0x0000; 0xffff ] in

@@ -282,7 +282,46 @@ let test_cache_keys () =
           { scheme = Scheme.Sempe; workload = fib 4; strict_oob = false })
     = Api.cache_key
         (Api.Simulate
-           { scheme = Scheme.Cte; workload = fib 4; strict_oob = false }))
+           { scheme = Scheme.Cte; workload = fib 4; strict_oob = false }));
+  (* Elements 3-4 digest the compiled program alone. An input (the djpeg
+     image's seed and blocks, the microbench leaf, the RSA key) leaves
+     them as they are, and the JSON half still tells the keys apart;
+     every parameter that shapes the code moves them. *)
+  let halves ?(scheme = Scheme.Sempe) workload =
+    match Api.cache_key (Api.Simulate { scheme; workload; strict_oob = false }) with
+    | [ j1; j2; p1; p2 ] -> ((j1, j2), (p1, p2))
+    | key -> Alcotest.failf "workload key of width %d" (List.length key)
+  in
+  let djpeg ?(format = "PPM") ?(blocks = 8) ?(seed = 7) () =
+    Api.Djpeg { format; blocks; seed }
+  in
+  let mb ?(kernel = "fibonacci") ?(width = 4) ?(iters = 4) ?(leaf = 3) () =
+    Api.Microbench { kernel; width; iters; leaf }
+  in
+  List.iter
+    (fun (what, a, b) ->
+      let (ja, pa), (jb, pb) = (halves a, halves b) in
+      Alcotest.(check bool) (what ^ ": same program digests") true (pa = pb);
+      Alcotest.(check bool) (what ^ ": other JSON digests") true (ja <> jb))
+    [
+      ("djpeg seed", djpeg (), djpeg ~seed:8 ());
+      ("djpeg blocks", djpeg (), djpeg ~blocks:64 ());
+      ("microbench leaf", mb (), mb ~leaf:1 ());
+      ("rsa key", Api.Rsa { key = 0x1234 }, Api.Rsa { key = 0xBEEF });
+    ];
+  let program_half ?scheme w = snd (halves ?scheme w) in
+  List.iter
+    (fun (what, pa, pb) ->
+      Alcotest.(check bool) (what ^ ": other program digests") true (pa <> pb))
+    [
+      ("scheme", program_half (djpeg ()), program_half ~scheme:Scheme.Cte (djpeg ()));
+      ("format PPM/GIF", program_half (djpeg ()), program_half (djpeg ~format:"GIF" ()));
+      ("format GIF/BMP", program_half (djpeg ~format:"GIF" ()),
+       program_half (djpeg ~format:"BMP" ()));
+      ("kernel", program_half (mb ()), program_half (mb ~kernel:"queens" ()));
+      ("width", program_half (mb ()), program_half (mb ~width:5 ()));
+      ("iters", program_half (mb ()), program_half (mb ~iters:5 ()));
+    ]
 
 (* ---- loadgen percentile gating ----------------------------------------- *)
 

@@ -22,7 +22,7 @@ module Sink = Sempe_obs.Sink
 let () =
   print_endline "=== attack 1: prime+probe on a shared cache ===\n";
   let cache =
-    Cache.create { Cache.name = "shared"; size_bytes = 4096; line_bytes = 64; ways = 1 }
+    Cache.create { Cache.size_bytes = 4096; line_bytes = 64; ways = 1 }
   in
   let nsets = Cache.num_sets cache in
   (* The attacker fills every set with its own lines. *)

@@ -1,18 +1,20 @@
-open Sempe_util
+module Reg = Sempe_isa.Reg
 
 type phase = Nt_path | T_path
+
+(* Each modified vector is one [int] mask: bit [r] is register [r]. *)
+let () = assert (Reg.count < Sys.int_size)
 
 (* One frame per nesting level, pooled: frames are allocated only the first
    time a nesting depth is reached and reused for every later SecBlock at
    that depth. Entering/leaving a SecBlock is the hot non-straight-line
    event of a SeMPE execution (once per committed sJMP in both execution
-   modes), and the old stack-of-records representation allocated two
-   register arrays, two bit vectors and three heap blocks per entry. *)
+   modes). *)
 type frame = {
   pre_state : int array;
   nt_state : int array;
-  nt_modified : Bitvec.t;
-  t_modified : Bitvec.t;
+  mutable nt_modified : int;
+  mutable t_modified : int;
   mutable outcome : bool;
   mutable phase : phase;
 }
@@ -20,41 +22,29 @@ type frame = {
 type t = {
   mutable frames : frame array; (* pool; frames.(0 .. depth-1) are live *)
   mutable depth : int;
-  mutable union_scratch : Bitvec.t; (* reused by [finish]; sized on demand *)
 }
 
-let create () = { frames = [||]; depth = 0; union_scratch = Bitvec.create 0 }
+let create () = { frames = [||]; depth = 0 }
 
 let depth t = t.depth
 
-let new_frame nregs =
+let new_frame () =
   {
-    pre_state = Array.make nregs 0;
-    nt_state = Array.make nregs 0;
-    nt_modified = Bitvec.create nregs;
-    t_modified = Bitvec.create nregs;
+    pre_state = Array.make Reg.count 0;
+    nt_state = Array.make Reg.count 0;
+    nt_modified = 0;
+    t_modified = 0;
     outcome = false;
     phase = Nt_path;
   }
 
 let push t ~regs ~outcome =
-  let nregs = Array.length regs in
   if t.depth = Array.length t.frames then
-    t.frames <- Array.append t.frames [| new_frame nregs |];
+    t.frames <- Array.append t.frames [| new_frame () |];
   let f = t.frames.(t.depth) in
-  let f =
-    (* Defensive: a pool frame sized for a different register file (only
-       possible if one [t] is reused across configs) is rebuilt in place. *)
-    if Array.length f.pre_state <> nregs then begin
-      let f = new_frame nregs in
-      t.frames.(t.depth) <- f;
-      f
-    end
-    else f
-  in
-  Array.blit regs 0 f.pre_state 0 nregs;
-  Bitvec.clear_all f.nt_modified;
-  Bitvec.clear_all f.t_modified;
+  Array.blit regs 0 f.pre_state 0 Reg.count;
+  f.nt_modified <- 0;
+  f.t_modified <- 0;
   f.outcome <- outcome;
   f.phase <- Nt_path;
   t.depth <- t.depth + 1
@@ -65,34 +55,39 @@ let top t =
 
 let current_phase t = (top t).phase
 
+(* Add [mask] to the modified set of the path [f] is executing. *)
+let mark f mask =
+  match f.phase with
+  | Nt_path -> f.nt_modified <- f.nt_modified lor mask
+  | T_path -> f.t_modified <- f.t_modified lor mask
+
 let note_write t r =
-  if t.depth > 0 then begin
-    let f = Array.unsafe_get t.frames (t.depth - 1) in
-    let v = match f.phase with Nt_path -> f.nt_modified | T_path -> f.t_modified in
-    Bitvec.set v r
-  end
+  if t.depth > 0 then mark (Array.unsafe_get t.frames (t.depth - 1)) (1 lsl r)
+
+let popcount m =
+  let m = ref m and n = ref 0 in
+  while !m <> 0 do
+    m := !m land (!m - 1);
+    incr n
+  done;
+  !n
 
 let end_nt_path t ~regs =
   let f = top t in
   if f.phase <> Nt_path then invalid_arg "Snapshot.end_nt_path: not in NT path";
-  Array.blit regs 0 f.nt_state 0 (Array.length regs);
+  Array.blit regs 0 f.nt_state 0 Reg.count;
   (* Roll the live registers back to the pre-state so the T path starts from
-     the same state the NT path did. Plain for-loops throughout this file
-     rather than [Bitvec.iter_set] closures: these run per committed sJMP
-     and a closure would allocate without flambda. *)
-  for r = 0 to Array.length regs - 1 do
-    if Bitvec.get f.nt_modified r then regs.(r) <- f.pre_state.(r)
+     the same state the NT path did. *)
+  for r = 0 to Reg.count - 1 do
+    if f.nt_modified land (1 lsl r) <> 0 then regs.(r) <- f.pre_state.(r)
   done;
   f.phase <- T_path;
-  Bitvec.popcount f.nt_modified
+  popcount f.nt_modified
 
 let finish t ~regs =
   let f = top t in
   if f.phase <> T_path then invalid_arg "Snapshot.finish: NT path still open";
-  if Bitvec.length t.union_scratch <> Bitvec.length f.nt_modified then
-    t.union_scratch <- Bitvec.create (Bitvec.length f.nt_modified);
-  let union = t.union_scratch in
-  Bitvec.union_into union f.nt_modified f.t_modified;
+  let union = f.nt_modified lor f.t_modified in
   if not f.outcome then
     (* The NT path is the true path: registers it modified take their
        NT-state values; registers modified only by the (wrong) T path roll
@@ -100,24 +95,13 @@ let finish t ~regs =
        (the T path's results) are already correct — the hardware still reads
        every modified register from the SPM and overwrites it with itself so
        the restore cost cannot leak the outcome. *)
-    for r = 0 to Array.length regs - 1 do
-      if Bitvec.get union r then
-        if Bitvec.get f.nt_modified r then regs.(r) <- f.nt_state.(r)
+    for r = 0 to Reg.count - 1 do
+      if union land (1 lsl r) <> 0 then
+        if f.nt_modified land (1 lsl r) <> 0 then regs.(r) <- f.nt_state.(r)
         else regs.(r) <- f.pre_state.(r)
     done;
-  (* Propagate the modified union into the parent frame's current vector:
-     an inner SecBlock's restore writes registers during the parent's
-     path. *)
-  if t.depth >= 2 then begin
-    let parent = Array.unsafe_get t.frames (t.depth - 2) in
-    let pv =
-      match parent.phase with
-      | Nt_path -> parent.nt_modified
-      | T_path -> parent.t_modified
-    in
-    for r = 0 to Bitvec.length union - 1 do
-      if Bitvec.get union r then Bitvec.set pv r
-    done
-  end;
+  (* Propagate the modified union into the parent frame's current set: an
+     inner SecBlock's restore writes registers during the parent's path. *)
+  if t.depth >= 2 then mark (Array.unsafe_get t.frames (t.depth - 2)) union;
   t.depth <- t.depth - 1;
-  Bitvec.popcount union
+  popcount union

@@ -2,8 +2,10 @@
 
     One frame per nested SecBlock, stacked in step with the jbTable. A frame
     holds the register state captured before entering the SecBlock, the
-    state captured after the NT path, and the two modified-bit vectors that
-    decide which values the restore phase writes back. The nesting level is
+    state captured after the NT path, and the NT-Modified and T-Modified
+    vectors that decide which values the restore phase writes back. Each
+    vector is one [int] mask with bit [r] for register [r] (the 48
+    registers of {!Sempe_isa.Reg} fit in one word). The nesting level is
     the frame's SPM offset.
 
     Frames are pooled per nesting depth and reused across SecBlocks, so
@@ -20,7 +22,8 @@ val create : unit -> t
 val depth : t -> int
 
 val push : t -> regs:int array -> outcome:bool -> unit
-(** Enter a SecBlock: capture [regs] as the pre-state. The new frame starts
+(** Enter a SecBlock: capture [regs] (a register file of
+    [Sempe_isa.Reg.count] values) as the pre-state. The new frame starts
     in {!Nt_path}. *)
 
 val current_phase : t -> phase

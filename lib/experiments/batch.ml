@@ -21,9 +21,11 @@ type telemetry = {
 
 (* All mutable telemetry state lives behind [tm]. [tm] is a leaf lock: it is
    taken from inside the pool's [on_done] callback (which itself runs under
-   the pool lock), so nothing here may call back into the pool. *)
+   the pool lock), so nothing here may call back into the pool. Timings are
+   kept only while progress is on: the summary holds every sample, and a
+   long-lived process (the daemon) sweeps with progress off. *)
 let tm = Mutex.create ()
-let job_seconds = ref (Stats.Summary.create ())
+let job_seconds = Stats.Summary.create ()
 let wall_seconds = ref 0.0
 let progress_enabled = ref false
 
@@ -33,15 +35,9 @@ let with_tm f =
 
 let set_progress on = with_tm (fun () -> progress_enabled := on)
 
-let reset_telemetry () =
-  with_tm (fun () ->
-      job_seconds := Stats.Summary.create ();
-      wall_seconds := 0.0)
-
 let telemetry () =
   with_tm (fun () ->
-      let s = !job_seconds in
-      let n = Stats.Summary.count s in
+      let n = Stats.Summary.count job_seconds in
       if n = 0 then None
       else
         let wall = !wall_seconds in
@@ -49,10 +45,10 @@ let telemetry () =
           {
             jobs_run = n;
             wall_s = wall;
-            mean_s = Stats.Summary.mean s;
-            p50_s = Stats.Summary.percentile 0.50 s;
-            p95_s = Stats.Summary.percentile 0.95 s;
-            max_s = Stats.Summary.max s;
+            mean_s = Stats.Summary.mean job_seconds;
+            p50_s = Stats.Summary.percentile 0.50 job_seconds;
+            p95_s = Stats.Summary.percentile 0.95 job_seconds;
+            max_s = Stats.Summary.max job_seconds;
             throughput = (if wall > 0.0 then float_of_int n /. wall else 0.0);
           })
 
@@ -65,9 +61,9 @@ let map ?j f xs =
   let completed = ref 0 in
   let on_done _i secs =
     Mutex.lock tm;
-    Stats.Summary.observe !job_seconds secs;
     incr completed;
     if !progress_enabled then begin
+      Stats.Summary.observe job_seconds secs;
       Printf.eprintf "\r[sweep] %d/%d" !completed n;
       flush stderr
     end;
@@ -77,10 +73,12 @@ let map ?j f xs =
   let results = Pool.run ~workers:(max 1 j) ~on_done f xs in
   let wall = Pool.now_s () -. t0 in
   with_tm (fun () ->
-      wall_seconds := !wall_seconds +. wall;
-      if !progress_enabled && n > 0 then begin
-        Printf.eprintf "\r[sweep] %d/%d done in %.2fs\n" !completed n wall;
-        flush stderr
+      if !progress_enabled then begin
+        wall_seconds := !wall_seconds +. wall;
+        if n > 0 then begin
+          Printf.eprintf "\r[sweep] %d/%d done in %.2fs\n" !completed n wall;
+          flush stderr
+        end
       end);
   results
 

@@ -25,7 +25,7 @@ val default_jobs : unit -> int
     the binaries pass to {!set_jobs} when [-j] is not given. *)
 
 type telemetry = {
-  jobs_run : int;     (** jobs completed since the last {!reset_telemetry} *)
+  jobs_run : int;     (** jobs completed with progress on *)
   wall_s : float;     (** summed wall-clock time of the {!map} batches *)
   mean_s : float;     (** mean per-job wall-clock seconds *)
   p50_s : float;      (** median per-job seconds (nearest rank) *)
@@ -35,19 +35,17 @@ type telemetry = {
 }
 
 val telemetry : unit -> telemetry option
-(** Aggregate per-job timing across every {!map} batch since startup (or
-    the last {!reset_telemetry}); [None] before any job has completed.
-    Collection is always on — the cost is one [gettimeofday] pair per
-    job, negligible next to a simulation. *)
-
-val reset_telemetry : unit -> unit
-(** Zero the accumulated job timings and wall clock. *)
+(** Aggregate per-job timing across every {!map} batch that ran with
+    progress on ({!set_progress}); [None] before any such job has
+    completed. A batch run with progress off records nothing, so a
+    long-lived process that sweeps keeps no per-job history. *)
 
 val set_progress : bool -> unit
-(** When enabled, every {!map} batch writes a [\r[sweep] k/n] progress
-    line to [stderr] as jobs complete, and a final
-    [\[sweep\] n/n done in Xs] line at batch end. Off by default;
-    [stdout] (tables, figures, reports) is never touched. *)
+(** When enabled, every {!map} batch records its per-job timings for
+    {!telemetry} and writes a [\r[sweep] k/n] progress line to [stderr]
+    as jobs complete, and a final [\[sweep\] n/n done in Xs] line at
+    batch end. Off by default; [stdout] (tables, figures, reports) is
+    never touched. *)
 
 val map : ?j:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map f xs] runs [f] over [xs], fanning out to [?j] workers (default:

@@ -1,7 +1,4 @@
-open Sempe_util
-
 type config = {
-  name : string;
   size_bytes : int;
   line_bytes : int;
   ways : int;
@@ -29,12 +26,11 @@ type t = {
   line_shift : int;
   set_shift : int;
   mutable clock : int;
-  group : Stats.group;
-  c_accesses : Stats.counter;
-  c_misses : Stats.counter;
-  c_writes : Stats.counter;
-  c_prefetch_fills : Stats.counter;
-  c_evictions : Stats.counter;
+  mutable accesses : int;
+  mutable misses : int;
+  mutable writes : int;
+  mutable prefetch_fills : int;
+  mutable evictions : int;
 }
 
 type outcome = Hit | Miss
@@ -54,7 +50,6 @@ let create cfg =
   if lines mod cfg.ways <> 0 then invalid_arg "Cache.create: lines not divisible by ways";
   let nsets = lines / cfg.ways in
   if nsets land (nsets - 1) <> 0 then invalid_arg "Cache.create: sets not a power of two";
-  let group = Stats.group cfg.name in
   {
     cfg;
     nsets;
@@ -64,12 +59,11 @@ let create cfg =
     line_shift = log2_pow2 cfg.line_bytes;
     set_shift = log2_pow2 nsets;
     clock = 0;
-    group;
-    c_accesses = Stats.counter group "accesses";
-    c_misses = Stats.counter group "misses";
-    c_writes = Stats.counter group "writes";
-    c_prefetch_fills = Stats.counter group "prefetch_fills";
-    c_evictions = Stats.counter group "evictions";
+    accesses = 0;
+    misses = 0;
+    writes = 0;
+    prefetch_fills = 0;
+    evictions = 0;
   }
 
 let config t = t.cfg
@@ -121,14 +115,14 @@ let lru_victim t base =
 
 let install t base tag =
   let v = lru_victim t base in
-  if Array.unsafe_get t.tags v >= 0 then Stats.incr t.c_evictions;
+  if Array.unsafe_get t.tags v >= 0 then t.evictions <- t.evictions + 1;
   Array.unsafe_set t.tags v tag;
   t.clock <- t.clock + 1;
   Array.unsafe_set t.lru v t.clock
 
 let access t ~addr ~write =
-  Stats.incr t.c_accesses;
-  if write then Stats.incr t.c_writes;
+  t.accesses <- t.accesses + 1;
+  if write then t.writes <- t.writes + 1;
   let base = set_base t ~addr and tag = tag_of t addr in
   let stop = base + t.ways in
   let i = ref base in
@@ -141,7 +135,7 @@ let access t ~addr ~write =
     Hit
   end
   else begin
-    Stats.incr t.c_misses;
+    t.misses <- t.misses + 1;
     install t base tag;
     Miss
   end
@@ -150,7 +144,7 @@ let prefetch_fill t ~addr =
   let base = set_base t ~addr and tag = tag_of t addr in
   if mem t base tag then false
   else begin
-    Stats.incr t.c_prefetch_fills;
+    t.prefetch_fills <- t.prefetch_fills + 1;
     install t base tag;
     true
   end
@@ -197,10 +191,12 @@ let flush t =
   Array.fill t.lru 0 (Array.length t.lru) 0;
   t.clock <- 0
 
-let stats t = t.group
-
-let miss_rate t =
-  Stats.ratio ~num:(Stats.value t.c_misses) ~den:(Stats.value t.c_accesses)
+let accesses t = t.accesses
+let misses t = t.misses
+let writes t = t.writes
+let prefetch_fills t = t.prefetch_fills
+let evictions t = t.evictions
+let miss_rate t = Sempe_util.Stats.ratio ~num:t.misses ~den:t.accesses
 
 let signature t =
   (* Hashes the per-set LRU ranking alongside the tags: two caches with the

@@ -6,7 +6,6 @@
     prime+probe attacker. *)
 
 type config = {
-  name : string;
   size_bytes : int;
   line_bytes : int;
   ways : int;
@@ -23,15 +22,16 @@ val num_sets : t -> int
 
 val access : t -> addr:int -> write:bool -> outcome
 (** Demand access to the byte address [addr]: updates LRU, fills on miss,
-    records statistics. *)
+    counts the access (and the write, miss and eviction it makes). *)
 
 val prefetch_fill : t -> addr:int -> bool
 (** Install the line for [addr] without counting a demand access. Returns
-    [true] if the line was newly installed (i.e. it was absent). Prefetch
-    fills are counted separately in the statistics. *)
+    [true] if the line was newly installed (i.e. it was absent); such a
+    fill counts in {!prefetch_fills} (and in {!evictions} if it displaced
+    a valid line). *)
 
 val probe : t -> addr:int -> bool
-(** Non-destructive presence check (no LRU update, no statistics). *)
+(** Non-destructive presence check (no LRU update, nothing counted). *)
 
 val set_index : t -> addr:int -> int
 val resident_tags : t -> int -> int list
@@ -39,13 +39,27 @@ val resident_tags : t -> int -> int list
     prime+probe attacker to read out eviction patterns. *)
 
 val flush : t -> unit
-(** Invalidate all lines; statistics are kept. *)
+(** Invalidate all lines; the counts are kept. *)
 
-val stats : t -> Sempe_util.Stats.group
-(** Counters: [accesses], [misses], [writes], [prefetch_fills],
-    [evictions]. *)
+(** Event counts since {!create}. *)
+
+val accesses : t -> int
+(** Demand accesses ({!access} calls). *)
+
+val misses : t -> int
+(** Demand accesses that missed. *)
+
+val writes : t -> int
+(** Demand accesses with [~write:true]. *)
+
+val prefetch_fills : t -> int
+(** Lines {!prefetch_fill} installed. *)
+
+val evictions : t -> int
+(** Valid lines replaced by a demand miss or a prefetch fill. *)
 
 val miss_rate : t -> float
+(** [misses / accesses], or [0.] before the first access. *)
 
 val signature : t -> int
 (** Order-dependent hash of the resident tags {e and} their per-set LRU

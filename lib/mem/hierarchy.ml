@@ -1,5 +1,3 @@
-open Sempe_util
-
 type config = {
   il1 : Cache.config;
   dl1 : Cache.config;
@@ -11,9 +9,9 @@ type config = {
 
 let default_config =
   {
-    il1 = { Cache.name = "il1"; size_bytes = 16 * 1024; line_bytes = 64; ways = 2 };
-    dl1 = { Cache.name = "dl1"; size_bytes = 32 * 1024; line_bytes = 64; ways = 2 };
-    l2 = { Cache.name = "l2"; size_bytes = 256 * 1024; line_bytes = 64; ways = 2 };
+    il1 = { Cache.size_bytes = 16 * 1024; line_bytes = 64; ways = 2 };
+    dl1 = { Cache.size_bytes = 32 * 1024; line_bytes = 64; ways = 2 };
+    l2 = { Cache.size_bytes = 256 * 1024; line_bytes = 64; ways = 2 };
     lat_l1 = 3;
     lat_l2 = 12;
     lat_mem = 180;
@@ -77,20 +75,6 @@ let data_access t ~pc ~addr ~write =
 let il1 t = t.il1
 let dl1 t = t.dl1
 let l2 t = t.l2
-
-let flush t =
-  Cache.flush t.il1;
-  Cache.flush t.dl1;
-  Cache.flush t.l2;
-  Prefetch.Stride.reset t.stride;
-  Prefetch.Stream.reset t.stream
-
-let reset_stats t =
-  Stats.reset_group (Cache.stats t.il1);
-  Stats.reset_group (Cache.stats t.dl1);
-  Stats.reset_group (Cache.stats t.l2)
-
-let miss_rates t = (Cache.miss_rate t.il1, Cache.miss_rate t.dl1, Cache.miss_rate t.l2)
 
 let signature t =
   (Cache.signature t.il1 * 31) + (Cache.signature t.dl1 * 17) + Cache.signature t.l2

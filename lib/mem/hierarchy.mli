@@ -34,13 +34,5 @@ val il1 : t -> Cache.t
 val dl1 : t -> Cache.t
 val l2 : t -> Cache.t
 
-val flush : t -> unit
-(** Invalidate all caches and reset the prefetchers (not the statistics). *)
-
-val reset_stats : t -> unit
-
-val miss_rates : t -> float * float * float
-(** (IL1, DL1, L2) demand miss rates — the three panels of Figure 9. *)
-
 val signature : t -> int
 (** Combined hash of all cache states (attacker-visible). *)

@@ -50,15 +50,6 @@ module Stride = struct
       end
       else 0
     end
-
-  let reset t =
-    Array.iter
-      (fun e ->
-        e.tag <- -1;
-        e.last_addr <- 0;
-        e.stride <- 0;
-        e.confidence <- 0)
-      t.table
 end
 
 module Stream = struct
@@ -116,13 +107,4 @@ module Stream = struct
       victim.length <- 1;
       victim.lru <- t.clock;
       0
-
-  let reset t =
-    Array.iter
-      (fun s ->
-        s.last_line <- -1;
-        s.length <- 0;
-        s.lru <- 0)
-      t.streams;
-    t.clock <- 0
 end

@@ -20,8 +20,6 @@ module Stride : sig
   val candidate : t -> int -> int
   (** [candidate t i] is the [i]th candidate of the last [observe] that
       returned a count > [i]. *)
-
-  val reset : t -> unit
 end
 
 module Stream : sig
@@ -37,6 +35,4 @@ module Stream : sig
       ascending stream (read them back with [candidate]). *)
 
   val candidate : t -> int -> int
-
-  val reset : t -> unit
 end

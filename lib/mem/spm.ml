@@ -1,5 +1,3 @@
-open Sempe_util
-
 type config = {
   max_snapshots : int;
   snapshot_bytes : int;
@@ -16,27 +14,12 @@ type t = {
   cfg : config;
   mutable depth : int;
   mutable high_water : int;
-  group : Stats.group;
-  c_saves : Stats.counter;
-  c_restores : Stats.counter;
-  c_bytes : Stats.counter;
-  c_cycles : Stats.counter;
+  mutable bytes_moved : int;
 }
 
 let create ?(config = default_config) () =
-  let group = Stats.group "spm" in
-  {
-    cfg = config;
-    depth = 0;
-    high_water = 0;
-    group;
-    c_saves = Stats.counter group "saves";
-    c_restores = Stats.counter group "restores";
-    c_bytes = Stats.counter group "bytes_moved";
-    c_cycles = Stats.counter group "cycles";
-  }
+  { cfg = config; depth = 0; high_water = 0; bytes_moved = 0 }
 
-let config_of t = t.cfg
 let depth t = t.depth
 let high_water t = t.high_water
 
@@ -46,21 +29,17 @@ let high_water t = t.high_water
 let bytes_per_reg t = t.cfg.snapshot_bytes / 2 / t.cfg.arch_regs
 
 let transfer t bytes =
-  let cycles = (bytes + t.cfg.throughput_bytes - 1) / t.cfg.throughput_bytes in
-  Stats.add t.c_bytes bytes;
-  Stats.add t.c_cycles cycles;
-  cycles
+  t.bytes_moved <- t.bytes_moved + bytes;
+  (bytes + t.cfg.throughput_bytes - 1) / t.cfg.throughput_bytes
 
 let push_full_save t =
   if t.depth >= t.cfg.max_snapshots then raise Overflow;
   t.depth <- t.depth + 1;
   if t.depth > t.high_water then t.high_water <- t.depth;
-  Stats.incr t.c_saves;
   transfer t (bytes_per_reg t * t.cfg.arch_regs)
 
 let save_modified t ~modified =
   assert (t.depth > 0);
-  Stats.incr t.c_saves;
   transfer t (bytes_per_reg t * modified)
 
 let read_modified t ~modified =
@@ -70,8 +49,6 @@ let read_modified t ~modified =
 let restore t ~modified_union =
   assert (t.depth > 0);
   t.depth <- t.depth - 1;
-  Stats.incr t.c_restores;
   transfer t (bytes_per_reg t * modified_union)
 
-let total_bytes_moved t = Stats.value t.c_bytes
-let stats t = t.group
+let bytes_moved t = t.bytes_moved

@@ -23,8 +23,6 @@ type t
 
 val create : ?config:config -> unit -> t
 
-val config_of : t -> config
-
 val depth : t -> int
 (** Number of live snapshot slots (current secure-branch nesting). *)
 
@@ -52,6 +50,6 @@ val restore : t -> modified_union:int -> int
     transfer cycles. *)
 
 val bytes_per_reg : t -> int
-val total_bytes_moved : t -> int
-val stats : t -> Sempe_util.Stats.group
-(** Counters: [saves], [restores], [bytes_moved], [cycles]. *)
+
+val bytes_moved : t -> int
+(** Bytes moved by every transfer since creation. *)

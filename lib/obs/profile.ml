@@ -2,30 +2,47 @@ module Probe = Sempe_pipeline.Probe
 module Uop = Sempe_pipeline.Uop
 module Tablefmt = Sempe_util.Tablefmt
 
+(* One exact count per static pc. The keys are the program's own pcs
+   (plus -1 for an unattributed drain), so the program bounds each
+   table. *)
+type table = (int, int) Hashtbl.t
+
 type t = {
-  branch_mispredicts : Counters.t;
-  branch_executions : Counters.t;
-  load_misses : Counters.t;
-  sjmp_drains : Counters.t;
-  sjmp_spm_cycles : Counters.t;
+  branch_mispredicts : table;
+  branch_executions : table;
+  load_misses : table;
+  sjmp_drains : table;
+  sjmp_spm_cycles : table;
   mutable sjmp_stack : int list;
   mutable uops : int;
   mutable drains : int;
 }
 
-let default_capacity = 256
-
-let create ?(capacity = default_capacity) () =
+let create () =
   {
-    branch_mispredicts = Counters.create ~capacity;
-    branch_executions = Counters.create ~capacity;
-    load_misses = Counters.create ~capacity;
-    sjmp_drains = Counters.create ~capacity;
-    sjmp_spm_cycles = Counters.create ~capacity;
+    branch_mispredicts = Hashtbl.create 64;
+    branch_executions = Hashtbl.create 64;
+    load_misses = Hashtbl.create 64;
+    sjmp_drains = Hashtbl.create 64;
+    sjmp_spm_cycles = Hashtbl.create 64;
     sjmp_stack = [];
     uops = 0;
     drains = 0;
   }
+
+let count tbl pc = Option.value ~default:0 (Hashtbl.find_opt tbl pc)
+
+(* A pc added with weight 0 is listed too, with count 0. *)
+let add tbl pc w = Hashtbl.replace tbl pc (count tbl pc + w)
+
+(* Count descending, then pc ascending; [n] keeps the first [n]. *)
+let top ?n tbl =
+  let ranked =
+    List.sort
+      (fun (p1, c1) (p2, c2) -> if c1 <> c2 then Int.compare c2 c1 else Int.compare p1 p2)
+      (Hashtbl.fold (fun pc c acc -> (pc, c) :: acc) tbl [])
+  in
+  match n with None -> ranked | Some n -> List.filteri (fun i _ -> i < n) ranked
 
 (* The engine runs secure regions LIFO (jbTable order), so a stack of live
    sJMP pcs attributes each drain to the innermost open region: the enter
@@ -42,8 +59,8 @@ let on_drain t (ev : Probe.drain_event) =
     | _, [] -> (-1, None)
   in
   (match pop with Some rest -> t.sjmp_stack <- rest | None -> ());
-  Counters.incr t.sjmp_drains ~key:pc;
-  Counters.add t.sjmp_spm_cycles ~key:pc ev.Probe.spm_cycles
+  add t.sjmp_drains pc 1;
+  add t.sjmp_spm_cycles pc ev.Probe.spm_cycles
 
 let on_uop t (ev : Probe.uop_event) =
   t.uops <- t.uops + 1;
@@ -51,10 +68,10 @@ let on_uop t (ev : Probe.uop_event) =
   (match u.Uop.ctl with
    | Uop.Ctl_branch ->
      if u.Uop.secure then t.sjmp_stack <- u.Uop.pc :: t.sjmp_stack
-     else Counters.incr t.branch_executions ~key:u.Uop.pc
+     else add t.branch_executions u.Uop.pc 1
    | _ -> ());
-  if ev.Probe.mispredicted then Counters.incr t.branch_mispredicts ~key:u.Uop.pc;
-  if ev.Probe.dcache_miss then Counters.incr t.load_misses ~key:u.Uop.pc
+  if ev.Probe.mispredicted then add t.branch_mispredicts u.Uop.pc 1;
+  if ev.Probe.dcache_miss then add t.load_misses u.Uop.pc 1
 
 let probe t = { Probe.on_uop = on_uop t; on_drain = on_drain t }
 
@@ -80,53 +97,50 @@ let table ?resolve ~title ~value_header ?(extra = fun _ _ -> []) ?extra_header
 
 let render ?(n = 10) ?resolve t =
   let mispredict_extra pc _ =
-    let execs = Counters.count t.branch_executions ~key:pc in
-    let misses = Counters.count t.branch_mispredicts ~key:pc in
+    let execs = count t.branch_executions pc in
+    let misses = count t.branch_mispredicts pc in
     [
       (if execs = 0 then "-"
        else Tablefmt.percent (Sempe_util.Stats.ratio ~num:misses ~den:execs));
     ]
   in
   let drain_extra pc _ =
-    [ string_of_int (Counters.count t.sjmp_drains ~key:pc) ]
+    [ string_of_int (count t.sjmp_drains pc) ]
   in
   String.concat "\n"
     [
       table ?resolve ~title:"Top branches by mispredicts"
         ~value_header:"mispredicts" ~extra:mispredict_extra
         ~extra_header:[ "miss rate" ]
-        (Counters.top ~n t.branch_mispredicts);
+        (top ~n t.branch_mispredicts);
       table ?resolve ~title:"Top loads by DL1 misses" ~value_header:"misses"
-        (Counters.top ~n t.load_misses);
+        (top ~n t.load_misses);
       table ?resolve ~title:"Top sJMPs by SPM transfer cycles"
         ~value_header:"spm cycles" ~extra:drain_extra
         ~extra_header:[ "drains" ]
-        (Counters.top ~n t.sjmp_spm_cycles);
+        (top ~n t.sjmp_spm_cycles);
     ]
 
-let counters_json ?n c =
+let table_json ?n tbl =
   Json.List
     (List.map
        (fun (pc, v) -> Json.Obj [ ("pc", Json.Int pc); ("count", Json.Int v) ])
-       (Counters.top ?n c))
+       (top ?n tbl))
 
 let to_json ?n t =
   Json.Obj
     [
       ("uops", Json.Int t.uops);
       ("drains", Json.Int t.drains);
-      ("branch_mispredicts", counters_json ?n t.branch_mispredicts);
-      ("load_dcache_misses", counters_json ?n t.load_misses);
-      ("sjmp_spm_cycles", counters_json ?n t.sjmp_spm_cycles);
-      ( "exact",
-        Json.Bool
-          (Counters.exact t.branch_mispredicts
-          && Counters.exact t.load_misses
-          && Counters.exact t.sjmp_spm_cycles) );
+      ("branch_mispredicts", table_json ?n t.branch_mispredicts);
+      ("load_dcache_misses", table_json ?n t.load_misses);
+      ("sjmp_spm_cycles", table_json ?n t.sjmp_spm_cycles);
+      (* every count is exact *)
+      ("exact", Json.Bool true);
     ]
 
-let branch_mispredicts t = t.branch_mispredicts
-let load_misses t = t.load_misses
-let sjmp_spm_cycles t = t.sjmp_spm_cycles
+let branch_mispredicts t = top t.branch_mispredicts
+let load_misses t = top t.load_misses
+let sjmp_spm_cycles t = top t.sjmp_spm_cycles
 let uops t = t.uops
 let drains t = t.drains

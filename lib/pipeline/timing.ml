@@ -1,5 +1,6 @@
 open Sempe_isa
 module Hierarchy = Sempe_mem.Hierarchy
+module Cache = Sempe_mem.Cache
 
 type t = {
   cfg : Config.t;
@@ -498,16 +499,13 @@ type report = {
 }
 
 let report t =
-  let open Sempe_util in
   let hier = Warm.hierarchy t.warm in
   let il1, dl1, l2 = (Hierarchy.il1 hier, Hierarchy.dl1 hier, Hierarchy.l2 hier) in
-  let acc c = Stats.find (Sempe_mem.Cache.stats c) "accesses" in
-  let mis c = Stats.find (Sempe_mem.Cache.stats c) "misses" in
   let cycles = t.max_commit + 1 in
   {
     instructions = t.s_instructions;
     cycles;
-    cpi = Stats.ratio ~num:cycles ~den:t.s_instructions;
+    cpi = Sempe_util.Stats.ratio ~num:cycles ~den:t.s_instructions;
     cond_branches = t.s_cond_branches;
     mispredicts = t.s_mispredicts;
     secure_branches = t.s_secure_branches;
@@ -515,15 +513,15 @@ let report t =
     spm_cycles = t.s_spm_cycles;
     loads = t.s_loads;
     stores = t.s_stores;
-    il1_miss_rate = Sempe_mem.Cache.miss_rate il1;
-    dl1_miss_rate = Sempe_mem.Cache.miss_rate dl1;
-    l2_miss_rate = Sempe_mem.Cache.miss_rate l2;
-    il1_accesses = acc il1;
-    dl1_accesses = acc dl1;
-    l2_accesses = acc l2;
-    il1_misses = mis il1;
-    dl1_misses = mis dl1;
-    l2_misses = mis l2;
+    il1_miss_rate = Cache.miss_rate il1;
+    dl1_miss_rate = Cache.miss_rate dl1;
+    l2_miss_rate = Cache.miss_rate l2;
+    il1_accesses = Cache.accesses il1;
+    dl1_accesses = Cache.accesses dl1;
+    l2_accesses = Cache.accesses l2;
+    il1_misses = Cache.misses il1;
+    dl1_misses = Cache.misses dl1;
+    l2_misses = Cache.misses l2;
     stall_stack =
       (* Cycle 0 (and any unattributed remainder) goes to the base bucket,
          so the stack sums to [cycles] exactly. *)

@@ -1,38 +1,11 @@
-type counter = { mutable count : int }
-
-type group = { gname : string; mutable entries : (string * counter) list }
-
-let group gname = { gname; entries = [] }
-
-let group_name g = g.gname
-
-let counter g name =
-  if List.mem_assoc name g.entries then
-    invalid_arg (Printf.sprintf "Stats.counter: duplicate %S in group %S" name g.gname);
-  let c = { count = 0 } in
-  g.entries <- g.entries @ [ (name, c) ];
-  c
-
-let incr c = c.count <- c.count + 1
-let add c n = c.count <- c.count + n
-let value c = c.count
-
-let reset_group g = List.iter (fun (_, c) -> c.count <- 0) g.entries
-
-let to_list g = List.map (fun (name, c) -> (name, c.count)) g.entries
-
-let find g name = (List.assoc name g.entries).count
-
 let ratio ~num ~den = if den = 0 then 0.0 else float_of_int num /. float_of_int den
 
 module Summary = struct
-  (* Welford's online algorithm for mean and variance; the raw samples are
-     additionally retained (amortized-doubling buffer) so order statistics
-     can be asked after the fact. *)
+  (* A running mean, plus every raw sample (amortized-doubling buffer) so
+     order statistics can be asked after the fact. *)
   type t = {
     mutable n : int;
     mutable mean : float;
-    mutable m2 : float;
     mutable min : float;
     mutable max : float;
     mutable samples : float array;
@@ -42,15 +15,7 @@ module Summary = struct
   }
 
   let create () =
-    {
-      n = 0;
-      mean = 0.0;
-      m2 = 0.0;
-      min = infinity;
-      max = neg_infinity;
-      samples = [||];
-      sorted = None;
-    }
+    { n = 0; mean = 0.0; min = infinity; max = neg_infinity; samples = [||]; sorted = None }
 
   let observe t x =
     if t.n >= Array.length t.samples then begin
@@ -61,14 +26,11 @@ module Summary = struct
     t.samples.(t.n) <- x;
     t.sorted <- None;
     t.n <- t.n + 1;
-    let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.n);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
+    t.mean <- t.mean +. ((x -. t.mean) /. float_of_int t.n);
     if x < t.min then t.min <- x;
     if x > t.max then t.max <- x
 
-  let n t = t.n
-  let count = n
+  let count t = t.n
   let mean t = if t.n = 0 then 0.0 else t.mean
 
   (* Nearest-rank percentile: the smallest sample such that at least
@@ -91,9 +53,6 @@ module Summary = struct
       let rank = Stdlib.min t.n (Stdlib.max 1 rank) in
       sorted.(rank - 1)
     end
-
-  let stddev t =
-    if t.n < 2 then 0.0 else sqrt (t.m2 /. float_of_int (t.n - 1))
 
   (* Like [mean], the extrema of an empty summary are 0 rather than the
      (+/-) infinity sentinels the update step uses internally. *)

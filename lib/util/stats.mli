@@ -1,35 +1,4 @@
-(** Simulation statistics: named counters, ratios and summaries.
-
-    Every simulator component owns a [group]; the run harness collects the
-    groups into a report. Counters are plain [int] cells so the hot paths pay
-    one increment. *)
-
-type counter
-(** A monotonically increasing event count. *)
-
-type group
-(** A named collection of counters. *)
-
-val group : string -> group
-(** [group name] is a fresh, empty group. *)
-
-val group_name : group -> string
-
-val counter : group -> string -> counter
-(** [counter g name] registers a zeroed counter named [name] in [g]. Names
-    must be unique within a group. *)
-
-val incr : counter -> unit
-val add : counter -> int -> unit
-val value : counter -> int
-val reset_group : group -> unit
-
-val to_list : group -> (string * int) list
-(** Counters of a group in registration order. *)
-
-val find : group -> string -> int
-(** [find g name] is the value of the named counter.
-    @raise Not_found if absent. *)
+(** Ratios and summaries of a series of observations. *)
 
 val ratio : num:int -> den:int -> float
 (** [ratio ~num ~den] is [num / den] as a float, or [0.] when [den = 0]. *)
@@ -40,10 +9,9 @@ module Summary : sig
 
   val create : unit -> t
   val observe : t -> float -> unit
-  val n : t -> int
 
   val count : t -> int
-  (** Number of observations (alias of {!n}). *)
+  (** Number of observations. *)
 
   val mean : t -> float
   (** [0.] when nothing has been observed. *)
@@ -54,8 +22,6 @@ module Summary : sig
       sample at rank [ceil (p * n)] of the ascending order, so
       [percentile 0. t] and [percentile 1. t] are the exact min and max.
       [0.] when nothing has been observed (consistent with {!mean}). *)
-
-  val stddev : t -> float
 
   val min : t -> float
   (** [0.] when nothing has been observed (consistent with {!mean}). *)

@@ -4,14 +4,12 @@
    [lru] fields — slow, but obviously correct and independent of the
    packed layout's index arithmetic. [Test_ref_equiv] drives this and
    the production cache through identical operation streams and requires
-   identical outcomes, resident-tag listings, statistics, and state
-   signatures. Do not "optimize" this file; its value is that it never
-   changed. *)
-
-open Sempe_util
+   identical outcomes, resident-tag listings, event counts, and state
+   signatures. Do not "optimize" this file; its value is that its
+   replacement policy never changed. Its five event counts are plain
+   fields, read through the same accessors as the production cache's. *)
 
 type config = Sempe_mem.Cache.config = {
-  name : string;
   size_bytes : int;
   line_bytes : int;
   ways : int;
@@ -26,12 +24,11 @@ type t = {
   line_shift : int;
   set_shift : int;
   mutable clock : int;
-  group : Stats.group;
-  c_accesses : Stats.counter;
-  c_misses : Stats.counter;
-  c_writes : Stats.counter;
-  c_prefetch_fills : Stats.counter;
-  c_evictions : Stats.counter;
+  mutable accesses : int;
+  mutable misses : int;
+  mutable writes : int;
+  mutable prefetch_fills : int;
+  mutable evictions : int;
 }
 
 type outcome = Hit | Miss
@@ -53,7 +50,6 @@ let create cfg =
   let nsets = lines / cfg.ways in
   if nsets land (nsets - 1) <> 0 then
     invalid_arg "Ref_cache.create: sets not a power of two";
-  let group = Stats.group cfg.name in
   {
     cfg;
     sets =
@@ -62,12 +58,11 @@ let create cfg =
     line_shift = log2_pow2 cfg.line_bytes;
     set_shift = log2_pow2 nsets;
     clock = 0;
-    group;
-    c_accesses = Stats.counter group "accesses";
-    c_misses = Stats.counter group "misses";
-    c_writes = Stats.counter group "writes";
-    c_prefetch_fills = Stats.counter group "prefetch_fills";
-    c_evictions = Stats.counter group "evictions";
+    accesses = 0;
+    misses = 0;
+    writes = 0;
+    prefetch_fills = 0;
+    evictions = 0;
   }
 
 let num_sets t = Array.length t.sets
@@ -90,14 +85,14 @@ let lru_victim set =
 
 let install t set tag =
   let victim = lru_victim set in
-  if victim.tag >= 0 then Stats.incr t.c_evictions;
+  if victim.tag >= 0 then t.evictions <- t.evictions + 1;
   victim.tag <- tag;
   t.clock <- t.clock + 1;
   victim.lru <- t.clock
 
 let access t ~addr ~write =
-  Stats.incr t.c_accesses;
-  if write then Stats.incr t.c_writes;
+  t.accesses <- t.accesses + 1;
+  if write then t.writes <- t.writes + 1;
   let set = set_of t ~addr and tag = tag_of t addr in
   match Array.find_opt (fun l -> l.tag = tag) set with
   | Some line ->
@@ -105,7 +100,7 @@ let access t ~addr ~write =
     line.lru <- t.clock;
     Hit
   | None ->
-    Stats.incr t.c_misses;
+    t.misses <- t.misses + 1;
     install t set tag;
     Miss
 
@@ -113,7 +108,7 @@ let prefetch_fill t ~addr =
   let set = set_of t ~addr and tag = tag_of t addr in
   if mem set tag then false
   else begin
-    Stats.incr t.c_prefetch_fills;
+    t.prefetch_fills <- t.prefetch_fills + 1;
     install t set tag;
     true
   end
@@ -140,7 +135,11 @@ let flush t =
     t.sets;
   t.clock <- 0
 
-let stats t = t.group
+let accesses t = t.accesses
+let misses t = t.misses
+let writes t = t.writes
+let prefetch_fills t = t.prefetch_fills
+let evictions t = t.evictions
 
 let signature t =
   (* Hashes the per-set LRU ranking alongside the tags; the rank (number

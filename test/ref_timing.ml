@@ -367,7 +367,6 @@ let current_cycles r = r.frontier + 1
 let report r : Timing.report =
   let h = Warm.hierarchy r.warm in
   let il1 = Hierarchy.il1 h and dl1 = Hierarchy.dl1 h and l2 = Hierarchy.l2 h in
-  let stat c name = Sempe_util.Stats.find (Cache.stats c) name in
   let cycles = current_cycles r in
   let stall_stack = Array.copy r.stalls in
   (* cycle 0 and whatever no µop advanced go to the base bucket *)
@@ -388,11 +387,11 @@ let report r : Timing.report =
     il1_miss_rate = Cache.miss_rate il1;
     dl1_miss_rate = Cache.miss_rate dl1;
     l2_miss_rate = Cache.miss_rate l2;
-    il1_accesses = stat il1 "accesses";
-    dl1_accesses = stat dl1 "accesses";
-    l2_accesses = stat l2 "accesses";
-    il1_misses = stat il1 "misses";
-    dl1_misses = stat dl1 "misses";
-    l2_misses = stat l2 "misses";
+    il1_accesses = Cache.accesses il1;
+    dl1_accesses = Cache.accesses dl1;
+    l2_accesses = Cache.accesses l2;
+    il1_misses = Cache.misses il1;
+    dl1_misses = Cache.misses dl1;
+    l2_misses = Cache.misses l2;
     stall_stack;
   }

@@ -44,6 +44,16 @@ let test_map_product_grouping () =
     [ (1, [ 14; 15 ]); (2, [ 24; 25 ]); (3, [ 34; 35 ]) ]
     got
 
+(* Regression: every batch used to append its job times to a process-wide
+   summary that nothing cleared, so a daemon that sweeps on each leakage
+   miss grew it forever. With progress off (the default, and the
+   daemon's setting) a batch records nothing. *)
+let test_map_without_progress_keeps_no_telemetry () =
+  let before = Batch.telemetry () in
+  ignore (Batch.map ~j:2 (fun x -> x + 1) [ 1; 2; 3; 4 ]);
+  ignore (Batch.map ~j:1 (fun x -> x * 2) [ 5; 6 ]);
+  Alcotest.(check bool) "telemetry unchanged" true (Batch.telemetry () = before)
+
 let test_fig10_cross_kernel_average_missing_width () =
   (* Regression: a series missing a sampled width used to make the
      cross-kernel average behind Fig10.render_chart raise Not_found. *)
@@ -121,6 +131,8 @@ let tests =
       test_sink_invisible;
     Alcotest.test_case "table1 measure -j1 = -j4" `Quick test_table1_j1_vs_j4;
     Alcotest.test_case "map_product grouping" `Quick test_map_product_grouping;
+    Alcotest.test_case "map with progress off keeps no telemetry" `Quick
+      test_map_without_progress_keeps_no_telemetry;
     Alcotest.test_case "fig10 average skips missing widths" `Quick
       test_fig10_cross_kernel_average_missing_width;
     Alcotest.test_case "attribution sweep -j1 = -j4" `Quick

@@ -1,17 +1,16 @@
 (* Memory subsystem: caches, prefetchers, hierarchy and the scratchpad. *)
 
 open Sempe_mem
-module Stats = Sempe_util.Stats
 
 let toy_config ?(ways = 2) ?(size = 1024) () =
-  { Cache.name = "toy"; size_bytes = size; line_bytes = 64; ways }
+  { Cache.size_bytes = size; line_bytes = 64; ways }
 
 let test_cache_miss_then_hit () =
   let c = Cache.create (toy_config ()) in
   Alcotest.(check bool) "cold miss" true (Cache.access c ~addr:0 ~write:false = Cache.Miss);
   Alcotest.(check bool) "then hit" true (Cache.access c ~addr:32 ~write:false = Cache.Hit);
-  Alcotest.(check int) "stats accesses" 2 (Stats.find (Cache.stats c) "accesses");
-  Alcotest.(check int) "stats misses" 1 (Stats.find (Cache.stats c) "misses")
+  Alcotest.(check int) "stats accesses" 2 (Cache.accesses c);
+  Alcotest.(check int) "stats misses" 1 (Cache.misses c)
 
 let test_cache_lru () =
   let c = Cache.create (toy_config ~ways:2 ~size:256 ()) in
@@ -29,7 +28,7 @@ let test_cache_lru () =
 let test_cache_probe_nondestructive () =
   let c = Cache.create (toy_config ()) in
   ignore (Cache.probe c ~addr:0);
-  Alcotest.(check int) "probe not counted" 0 (Stats.find (Cache.stats c) "accesses");
+  Alcotest.(check int) "probe not counted" 0 (Cache.accesses c);
   Alcotest.(check bool) "still absent" true (Cache.access c ~addr:0 ~write:false = Cache.Miss)
 
 let test_cache_prefetch_fill () =
@@ -37,7 +36,7 @@ let test_cache_prefetch_fill () =
   Alcotest.(check bool) "installed" true (Cache.prefetch_fill c ~addr:0);
   Alcotest.(check bool) "already present" false (Cache.prefetch_fill c ~addr:0);
   Alcotest.(check bool) "prefetch hit" true (Cache.access c ~addr:0 ~write:false = Cache.Hit);
-  Alcotest.(check int) "prefetch counted" 1 (Stats.find (Cache.stats c) "prefetch_fills")
+  Alcotest.(check int) "prefetch counted" 1 (Cache.prefetch_fills c)
 
 let test_cache_flush_and_signature () =
   let c = Cache.create (toy_config ()) in
@@ -129,7 +128,7 @@ let test_hierarchy_stride_effect () =
   for k = 0 to 63 do
     ignore (Hierarchy.data_access h ~pc:12 ~addr:(k * 64) ~write:false)
   done;
-  let misses = Stats.find (Cache.stats (Hierarchy.dl1 h)) "misses" in
+  let misses = Cache.misses (Hierarchy.dl1 h) in
   Alcotest.(check bool)
     (Printf.sprintf "prefetcher cut misses (%d < 40)" misses)
     true (misses < 40)
@@ -147,7 +146,7 @@ let test_spm_accounting () =
   Alcotest.(check int) "depth back" 0 (Spm.depth spm);
   Alcotest.(check int) "high water" 1 (Spm.high_water spm);
   Alcotest.(check int) "bytes moved" (per_reg * (48 + 10 + 12))
-    (Spm.total_bytes_moved spm)
+    (Spm.bytes_moved spm)
 
 let test_spm_overflow () =
   let spm = Spm.create ~config:{ Spm.default_config with Spm.max_snapshots = 2 } () in

@@ -1,9 +1,9 @@
 (* Tests of the observability layer: the CPI stall-stack invariant (every
    cycle attributed to exactly one bucket), null-sink identity (attaching
-   no sink and attaching Sink.null produce the same report), the bounded
-   counter registry, the per-PC profile's exact aggregate cross-checks
-   against the run report, and the structure of the emitted Perfetto /
-   JSON-lines traces (parsed back with a small JSON reader). *)
+   no sink and attaching Sink.null produce the same report), the per-PC
+   profile's ranking and its exact aggregate cross-checks against the run
+   report, and the structure of the emitted Perfetto / JSON-lines traces
+   (parsed back with a small JSON reader). *)
 
 module Run = Sempe_core.Run
 module Scheme = Sempe_core.Scheme
@@ -15,8 +15,9 @@ module Rsa = Sempe_workloads.Rsa
 module MB = Sempe_workloads.Microbench
 module Kernels = Sempe_workloads.Kernels
 module Stats = Sempe_util.Stats
+module Probe = Sempe_pipeline.Probe
+module Uop = Sempe_pipeline.Uop
 module Json = Sempe_obs.Json
-module Counters = Sempe_obs.Counters
 module Profile = Sempe_obs.Profile
 module Sink = Sempe_obs.Sink
 module Report = Sempe_obs.Report
@@ -86,54 +87,46 @@ let test_null_sink_identity () =
   let nulled = state (rsa_outcome ~sink:Sink.null Scheme.Sempe) in
   Alcotest.(check bool) "reports and warm state identical" true (plain = nulled)
 
-(* ---- counters ---- *)
-
-let test_counters_exact () =
-  let c = Counters.create ~capacity:4 in
-  List.iter (fun k -> Counters.add c ~key:k k) [ 10; 20; 30 ];
-  Counters.incr c ~key:20;
-  Alcotest.(check bool) "exact while under capacity" true (Counters.exact c);
-  Alcotest.(check int) "count 20" 21 (Counters.count c ~key:20);
-  Alcotest.(check int) "count absent" 0 (Counters.count c ~key:99);
-  Alcotest.(check int) "cardinality" 3 (Counters.cardinality c);
-  Alcotest.(check int) "total" 61 (Counters.total c);
-  Alcotest.(check (list (pair int int))) "top order"
-    [ (30, 30); (20, 21); (10, 10) ] (Counters.top c);
-  Alcotest.(check (list (pair int int))) "top n" [ (30, 30) ]
-    (Counters.top ~n:1 c)
-
-let test_counters_eviction () =
-  let c = Counters.create ~capacity:2 in
-  Counters.add c ~key:1 100;
-  Counters.add c ~key:2 5;
-  (* key 3 evicts the minimum (key 2, count 5) and inherits 5 + 7 *)
-  Counters.add c ~key:3 7;
-  Alcotest.(check bool) "no longer exact" false (Counters.exact c);
-  Alcotest.(check int) "evictions" 1 (Counters.evictions c);
-  Alcotest.(check int) "cardinality bounded" 2 (Counters.cardinality c);
-  Alcotest.(check int) "evicted key gone" 0 (Counters.count c ~key:2);
-  Alcotest.(check int) "newcomer inherits min" 12 (Counters.count c ~key:3);
-  Alcotest.(check int) "heavy hitter survives" 100 (Counters.count c ~key:1);
-  (* total stays the exact sum of weights regardless of evictions *)
-  Alcotest.(check int) "total exact" 112 (Counters.total c)
-
-let test_counters_invalid () =
-  Alcotest.check_raises "capacity 0"
-    (Invalid_argument "Counters.create: capacity must be >= 1") (fun () ->
-      ignore (Counters.create ~capacity:0))
-
-let prop_counters_total_exact =
-  QCheck.Test.make ~name:"counters total is exact under eviction" ~count:300
-    QCheck.(list (pair (int_bound 20) (int_bound 50)))
-    (fun adds ->
-      let c = Counters.create ~capacity:3 in
-      List.iter (fun (k, w) -> Counters.add c ~key:k w) adds;
-      Counters.total c = List.fold_left (fun acc (_, w) -> acc + w) 0 adds
-      && Counters.cardinality c <= 3)
-
 (* ---- profile cross-checks ---- *)
 
+(* Synthetic events straight into the probe: the tables rank by count,
+   descending, then by pc, ascending; a pc added with weight 0 is listed;
+   [?n] keeps the first [n] of each. *)
+let test_profile_ranking () =
+  let p = Profile.create () in
+  let probe = Profile.probe p in
+  let uop ?(secure = false) ?(mispredicted = false) ?(dcache_miss = false) ctl pc =
+    let u = Uop.make () in
+    u.Uop.pc <- pc;
+    u.Uop.ctl <- ctl;
+    u.Uop.secure <- secure;
+    probe.Probe.on_uop
+      { Probe.uop = u; fetch = 0; dispatch = 0; issue = 0; complete = 0;
+        commit = 0; bucket = Stall.Base; attributed = 0; mispredicted;
+        dcache_miss; il1_line = -1; fetch_extra = 0; mem_extra = 0 }
+  in
+  let drain reason spm_cycles =
+    probe.Probe.on_drain { Probe.reason; spm_cycles; start = 0; resume = 0 }
+  in
+  List.iter (uop ~mispredicted:true Uop.Ctl_branch) [ 5; 7; 3; 7 ];
+  List.iter (uop ~dcache_miss:true Uop.Ctl_none) [ 9; 8 ];
+  uop ~secure:true Uop.Ctl_branch 40;
+  drain Uop.Drain_enter_secblock 0;
+  drain Uop.Drain_after_nt_path 0;
+  drain Uop.Drain_exit_secblock 0;
+  let ranked = Alcotest.(list (pair int int)) in
+  Alcotest.check ranked "mispredicts" [ (7, 2); (3, 1); (5, 1) ]
+    (Profile.branch_mispredicts p);
+  Alcotest.check ranked "load misses" [ (8, 1); (9, 1) ] (Profile.load_misses p);
+  Alcotest.check ranked "weight 0 listed" [ (40, 0) ] (Profile.sjmp_spm_cycles p);
+  Alcotest.(check string) "json top 1"
+    "{\"uops\":7,\"drains\":3,\"branch_mispredicts\":[{\"pc\":7,\"count\":2}],\
+     \"load_dcache_misses\":[{\"pc\":8,\"count\":1}],\
+     \"sjmp_spm_cycles\":[{\"pc\":40,\"count\":0}],\"exact\":true}"
+    (Json.to_string (Profile.to_json ~n:1 p))
+
 let test_profile_crosschecks () =
+  let total = List.fold_left (fun acc (_, c) -> acc + c) 0 in
   let p = Profile.create () in
   let r =
     (rsa_outcome ~sink:(Sink.of_probe (Profile.probe p)) Scheme.Sempe)
@@ -144,14 +137,14 @@ let test_profile_crosschecks () =
   Alcotest.(check int) "drain events = drains" r.Timing.drains
     (Profile.drains p);
   Alcotest.(check int) "mispredict total matches report" r.Timing.mispredicts
-    (Counters.total (Profile.branch_mispredicts p));
+    (total (Profile.branch_mispredicts p));
   (* the report's DL1 misses also count stores; the profile only tracks
      loads, so it is a positive lower bound *)
-  let load_misses = Counters.total (Profile.load_misses p) in
+  let load_misses = total (Profile.load_misses p) in
   Alcotest.(check bool) "load-miss total bounded by dl1 misses" true
     (load_misses > 0 && load_misses <= r.Timing.dl1_misses);
   Alcotest.(check int) "spm-cycle total matches report" r.Timing.spm_cycles
-    (Counters.total (Profile.sjmp_spm_cycles p));
+    (total (Profile.sjmp_spm_cycles p));
   let rendered = Profile.render p in
   Alcotest.(check bool) "render non-empty" true (String.length rendered > 0)
 
@@ -556,10 +549,7 @@ let tests =
       test_stall_stack_drain_bucket;
     Alcotest.test_case "stall stack render" `Quick test_stall_stack_render;
     Alcotest.test_case "null sink identity" `Quick test_null_sink_identity;
-    Alcotest.test_case "counters exact" `Quick test_counters_exact;
-    Alcotest.test_case "counters eviction" `Quick test_counters_eviction;
-    Alcotest.test_case "counters invalid" `Quick test_counters_invalid;
-    qtest prop_counters_total_exact;
+    Alcotest.test_case "profile ranking" `Quick test_profile_ranking;
     Alcotest.test_case "profile cross-checks" `Quick test_profile_crosschecks;
     qtest prop_json_roundtrip;
     Alcotest.test_case "perfetto trace structure" `Quick

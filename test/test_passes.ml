@@ -1,9 +1,8 @@
-(* Compiler-support passes: automatic secret annotation and nesting
-   collapse, plus the ITTAGE predictor and the indirect-jump path. *)
+(* Compiler-support passes: automatic secret annotation, plus the ITTAGE
+   predictor and the indirect-jump path. *)
 
 open Sempe_lang.Ast
 module Secrecy = Sempe_lang.Secrecy
-module Optimize = Sempe_lang.Optimize
 module Parser = Sempe_lang.Parser
 module Harness = Sempe_workloads.Harness
 module Scheme = Sempe_core.Scheme
@@ -80,63 +79,6 @@ func main() locals(k, t) {
     (match Secrecy.auto_annotate bad with
      | _ -> false
      | exception Invalid_argument _ -> true)
-
-let nested_src =
-  Parser.program
-    {|
-global a;
-global b;
-global r;
-@secret a;
-@secret b;
-func main() {
-  @secret if (a != 0) {
-    @secret if (b != 0) {
-      r = 42;
-    }
-  }
-  return r;
-}
-|}
-
-let test_collapse () =
-  Alcotest.(check int) "nesting before" 2 (Optimize.static_nesting nested_src);
-  let collapsed = Optimize.collapse_nesting nested_src in
-  Alcotest.(check int) "nesting after" 1 (Optimize.static_nesting collapsed);
-  (* same results under SeMPE, with a smaller jbTable footprint *)
-  List.iter
-    (fun (a, b) ->
-      let run prog =
-        let built = Harness.build Scheme.Sempe prog in
-        let o = Harness.run ~globals:[ ("a", a); ("b", b) ] built in
-        (Harness.return_value o, o.Sempe_core.Run.exec.Sempe_core.Exec.max_nesting)
-      in
-      let r_orig, n_orig = run nested_src in
-      let r_coll, n_coll = run collapsed in
-      Alcotest.(check int) (Printf.sprintf "same result a=%d b=%d" a b) r_orig r_coll;
-      Alcotest.(check bool) "shallower nesting" true (n_coll < n_orig || n_orig <= 1))
-    [ (0, 0); (0, 1); (1, 0); (1, 1) ]
-
-let test_collapse_preserves_else () =
-  (* An outer else-block must prevent collapsing. *)
-  let prog =
-    Parser.program
-      {|
-global a;
-global b;
-global r;
-@secret a;
-@secret b;
-func main() {
-  @secret if (a != 0) {
-    @secret if (b != 0) { r = 1; }
-  } else { r = 9; }
-  return r;
-}
-|}
-  in
-  let collapsed = Optimize.collapse_nesting prog in
-  Alcotest.(check int) "not collapsed" 2 (Optimize.static_nesting collapsed)
 
 (* ---- ITTAGE ---- *)
 
@@ -228,8 +170,6 @@ let tests =
   [
     Alcotest.test_case "auto annotate" `Quick test_auto_annotate;
     Alcotest.test_case "auto annotate secret loop" `Quick test_auto_annotate_rejects_secret_loop;
-    Alcotest.test_case "collapse nesting" `Quick test_collapse;
-    Alcotest.test_case "collapse preserves else" `Quick test_collapse_preserves_else;
     Alcotest.test_case "ittage monomorphic" `Quick test_ittage_learns_monomorphic;
     Alcotest.test_case "ittage history" `Quick test_ittage_history_correlated;
     Alcotest.test_case "ittage reset" `Quick test_ittage_reset;
@@ -276,30 +216,4 @@ let prop_auto_annotate_roundtrip =
                 Harness.return_value o = reference)
               [ [ ("s0", 0); ("s1", 1) ]; [ ("s0", 1); ("s1", 0) ] ]))
 
-let prop_collapse_preserves =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"collapse_nesting preserves semantics" ~count:40
-       Test_random_progs.arbitrary_program
-       (fun (prog, fill) ->
-         let collapsed = Optimize.collapse_nesting prog in
-         Optimize.static_nesting collapsed <= Optimize.static_nesting prog
-         && List.for_all
-              (fun secrets ->
-                let run p =
-                  let st = Sempe_lang.Eval.init p in
-                  List.iter (fun (n, v) -> Sempe_lang.Eval.set_global st n v) secrets;
-                  Sempe_lang.Eval.set_array st "arr" (Array.of_list fill);
-                  Sempe_lang.Eval.run st
-                in
-                run prog = run collapsed
-                &&
-                let built = Harness.build Scheme.Sempe collapsed in
-                let o =
-                  Harness.run ~globals:secrets
-                    ~arrays:[ ("arr", Array.of_list fill) ]
-                    ~mem_words:(1 lsl 14) built
-                in
-                Harness.return_value o = run prog)
-              [ [ ("s0", 0); ("s1", 1) ]; [ ("s0", 1); ("s1", 1) ] ]))
-
-let tests = tests @ [ prop_auto_annotate_roundtrip; prop_collapse_preserves ]
+let tests = tests @ [ prop_auto_annotate_roundtrip ]

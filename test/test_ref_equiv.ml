@@ -8,7 +8,7 @@
    multi-hundred-thousand-operation streams (millions of operations
    across the QCheck cases) and require bit-identical observable
    behavior: per-operation outcomes, per-branch predictions,
-   resident-tag listings, statistics counters, and state signatures.
+   resident-tag listings, event counts, and state signatures.
    The paged simulated memory ([lib/core/memory.ml]) is bonded the same
    way to the flat [int array] it replaced, and the timing model's
    growable port ring ([lib/pipeline/ports.ml]) to an unbounded table of
@@ -17,7 +17,9 @@
    machine written as plain queues and tables, the packed BTB
    ([lib/bpred/btb.ml]) to [Ref_btb], a list of entries per set, and the
    packed ITTAGE ([lib/bpred/ittage.ml]) to [Ref_ittage], entry records
-   over a list of recent targets.
+   over a list of recent targets, and ArchRS's register masks
+   ([lib/core/snapshot.ml]) to [Ref_snapshot], register arrays with
+   [bool array] modified sets.
 
    The streams are derived from a generated PRNG seed rather than a
    generated operation list: QCheck shrinks the seed (useless) but can
@@ -29,7 +31,6 @@ module Memory = Sempe_core.Memory
 module Tage = Sempe_bpred.Tage
 module Ittage = Sempe_bpred.Ittage
 module Ports = Sempe_pipeline.Ports
-module Stats = Sempe_util.Stats
 module Timing = Sempe_pipeline.Timing
 module Config = Sempe_pipeline.Config
 module Warm = Sempe_pipeline.Warm
@@ -37,6 +38,8 @@ module Uop = Sempe_pipeline.Uop
 module Probe = Sempe_pipeline.Probe
 module Stall = Sempe_pipeline.Stall
 module Instr = Sempe_isa.Instr
+module Reg = Sempe_isa.Reg
+module Snapshot = Sempe_core.Snapshot
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -46,10 +49,10 @@ let qtest = QCheck_alcotest.to_alcotest
    addresses collide, evict, and exercise LRU ranks. *)
 let cache_shapes =
   [
-    { Cache.name = "equiv"; size_bytes = 4 * 1024; line_bytes = 64; ways = 4 };
-    { Cache.name = "equiv"; size_bytes = 2 * 1024; line_bytes = 32; ways = 1 };
-    { Cache.name = "equiv"; size_bytes = 16 * 1024; line_bytes = 64; ways = 8 };
-    { Cache.name = "equiv"; size_bytes = 1024; line_bytes = 16; ways = 2 };
+    { Cache.size_bytes = 4 * 1024; line_bytes = 64; ways = 4 };
+    { Cache.size_bytes = 2 * 1024; line_bytes = 32; ways = 1 };
+    { Cache.size_bytes = 16 * 1024; line_bytes = 64; ways = 8 };
+    { Cache.size_bytes = 1024; line_bytes = 16; ways = 2 };
   ]
 
 let cache_ops_per_case = 150_000
@@ -62,10 +65,18 @@ let check_cache_equal ~ctx cfg cache ref_cache =
     if Cache.resident_tags cache s <> Ref_cache.resident_tags ref_cache s then
       QCheck.Test.fail_reportf "%s: resident_tags diverge in set %d" ctx s
   done;
-  let got = Stats.to_list (Cache.stats cache)
-  and want = Stats.to_list (Ref_cache.stats ref_cache) in
-  if got <> want then
-    QCheck.Test.fail_reportf "%s: stats diverge (%s)" ctx cfg.Cache.name
+  List.iter
+    (fun (name, got, want) ->
+      if got cache <> want ref_cache then
+        QCheck.Test.fail_reportf "%s: %s %d, reference %d (%d B, %d-way)" ctx name
+          (got cache) (want ref_cache) cfg.Cache.size_bytes cfg.Cache.ways)
+    [
+      ("accesses", Cache.accesses, Ref_cache.accesses);
+      ("misses", Cache.misses, Ref_cache.misses);
+      ("writes", Cache.writes, Ref_cache.writes);
+      ("prefetch_fills", Cache.prefetch_fills, Ref_cache.prefetch_fills);
+      ("evictions", Cache.evictions, Ref_cache.evictions);
+    ]
 
 let cache_equiv_prop seed =
   let rand = Random.State.make [| seed; 0xcac4e |] in
@@ -204,6 +215,63 @@ let btb_equiv_prop seed =
         QCheck.Test.fail_reportf "%d ways x %d entries, op %d: find %d = %d, reference %d"
           ways entries op pc got want
     end
+  done;
+  true
+
+(* ---- ArchRS vs Ref_snapshot ---- *)
+
+(* A random legal sequence: pushes with a random outcome up to the
+   jbTable's depth, noted writes to any of the 48 registers (inside
+   frames and outside them), first and second eosJMPs. Each case draws
+   its own push bias, so some stay one level deep and some fill the
+   jbTable. Both models own a register file and must agree on it, on the
+   depth and on every returned transfer count after every step. *)
+let snapshot_steps_per_case = 2_000
+
+let snapshot_equiv_prop seed =
+  let rand = Random.State.make [| seed; 0x5a95 |] in
+  let max_depth = Sempe_core.Exec.default_config.Sempe_core.Exec.jbtable_entries in
+  let push_bias = 5 + Random.State.int rand 40 in
+  let snaps = Snapshot.create () and reference = Ref_snapshot.create () in
+  let regs = Array.init Reg.count (fun r -> 7 * r) in
+  let ref_regs = Array.copy regs in
+  for step = 1 to snapshot_steps_per_case do
+    let depth = Ref_snapshot.depth reference in
+    let op, got, want =
+      match Random.State.int rand 100 with
+      | k when k < push_bias && depth < max_depth ->
+        let outcome = Random.State.bool rand in
+        Snapshot.push snaps ~regs ~outcome;
+        Ref_snapshot.push reference ~regs:ref_regs ~outcome;
+        ("push", 0, 0)
+      | k when k < 60 || depth = 0 ->
+        let r = Random.State.int rand Reg.count in
+        let v = Random.State.int rand 1000 in
+        regs.(r) <- v;
+        ref_regs.(r) <- v;
+        Snapshot.note_write snaps r;
+        Ref_snapshot.note_write reference r;
+        ("write", 0, 0)
+      | _ -> (
+        match reference.Ref_snapshot.frames with
+        | { Ref_snapshot.phase = Ref_snapshot.Nt_path; _ } :: _ ->
+          ( "end_nt_path",
+            Snapshot.end_nt_path snaps ~regs,
+            Ref_snapshot.end_nt_path reference ~regs:ref_regs )
+        | _ ->
+          ( "finish",
+            Snapshot.finish snaps ~regs,
+            Ref_snapshot.finish reference ~regs:ref_regs ))
+    in
+    if got <> want then
+      QCheck.Test.fail_reportf "step %d, %s at depth %d: count %d, reference %d" step
+        op depth got want;
+    if regs <> ref_regs then
+      QCheck.Test.fail_reportf "step %d, %s at depth %d: registers diverge" step op
+        depth;
+    if Snapshot.depth snaps <> Ref_snapshot.depth reference then
+      QCheck.Test.fail_reportf "step %d, %s: depth %d, reference %d" step op
+        (Snapshot.depth snaps) (Ref_snapshot.depth reference)
   done;
   true
 
@@ -771,6 +839,9 @@ let tests =
     qtest
       (QCheck.Test.make ~name:"packed ITTAGE equals record-based reference"
          ~count:6 (QCheck.int_bound 0x3fffffff) ittage_equiv_prop);
+    qtest
+      (QCheck.Test.make ~name:"ArchRS masks equal plain-array reference"
+         ~count:200 (QCheck.int_bound 0x3fffffff) snapshot_equiv_prop);
     qtest
       (QCheck.Test.make ~name:"paged memory equals flat-array reference"
          ~count:10 QCheck.small_nat memory_equiv_prop);

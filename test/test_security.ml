@@ -93,7 +93,7 @@ let test_prime_and_probe_unit () =
      the attacker's line in a 1-way cache. *)
   let cache =
     Sempe_mem.Cache.create
-      { Sempe_mem.Cache.name = "toy"; size_bytes = 1024; line_bytes = 64; ways = 1 }
+      { Sempe_mem.Cache.size_bytes = 1024; line_bytes = 64; ways = 1 }
   in
   let nsets = Sempe_mem.Cache.num_sets cache in
   let prime = [ 0; 64 ] in

@@ -1,5 +1,5 @@
-(* Unit and property tests for sempe_util: RNG, bit vectors, statistics and
-   table rendering. *)
+(* Unit and property tests for sempe_util: RNG, statistics and table
+   rendering. *)
 
 open Sempe_util
 
@@ -56,77 +56,7 @@ let prop_shuffle_permutes =
       Rng.shuffle (Rng.create seed) a;
       List.sort compare (Array.to_list a) = List.sort compare xs)
 
-(* ---- bitvec ---- *)
-
-let prop_bitvec_set_get =
-  QCheck.Test.make ~name:"bitvec set/get" ~count:500
-    QCheck.(pair (int_range 1 200) (small_list (int_range 0 1000)))
-    (fun (len, idxs) ->
-      let t = Bitvec.create len in
-      let idxs = List.map (fun k -> k mod len) idxs in
-      List.iter (Bitvec.set t) idxs;
-      List.for_all (Bitvec.get t) idxs
-      && Bitvec.popcount t = List.length (List.sort_uniq compare idxs))
-
-let prop_bitvec_clear =
-  QCheck.Test.make ~name:"bitvec clear" ~count:300
-    QCheck.(pair (int_range 1 128) (int_range 0 10000))
-    (fun (len, k) ->
-      let t = Bitvec.create len in
-      let k = k mod len in
-      Bitvec.set t k;
-      Bitvec.clear t k;
-      (not (Bitvec.get t k)) && Bitvec.popcount t = 0)
-
-let prop_bitvec_union =
-  QCheck.Test.make ~name:"bitvec union popcount" ~count:300
-    QCheck.(triple (int_range 1 96) (small_list small_nat) (small_list small_nat))
-    (fun (len, xs, ys) ->
-      let a = Bitvec.create len and b = Bitvec.create len in
-      List.iter (fun k -> Bitvec.set a (k mod len)) xs;
-      List.iter (fun k -> Bitvec.set b (k mod len)) ys;
-      let u = Bitvec.union a b in
-      Bitvec.popcount u >= max (Bitvec.popcount a) (Bitvec.popcount b)
-      && Bitvec.popcount u <= Bitvec.popcount a + Bitvec.popcount b)
-
-let test_bitvec_iter_ascending () =
-  let t = Bitvec.create 64 in
-  List.iter (Bitvec.set t) [ 5; 1; 63; 17 ];
-  let seen = ref [] in
-  Bitvec.iter_set (fun k -> seen := k :: !seen) t;
-  Alcotest.(check (list int)) "ascending order" [ 1; 5; 17; 63 ] (List.rev !seen)
-
-let test_bitvec_string () =
-  let t = Bitvec.create 4 in
-  Bitvec.set t 0;
-  Bitvec.set t 2;
-  Alcotest.(check string) "little-endian" "1010" (Bitvec.to_string t);
-  Bitvec.set_all t;
-  Alcotest.(check string) "all set" "1111" (Bitvec.to_string t);
-  Bitvec.clear_all t;
-  Alcotest.(check string) "cleared" "0000" (Bitvec.to_string t)
-
 (* ---- stats ---- *)
-
-let test_stats_counters () =
-  let g = Stats.group "test" in
-  let c1 = Stats.counter g "a" in
-  let c2 = Stats.counter g "b" in
-  Stats.incr c1;
-  Stats.add c2 10;
-  Stats.incr c1;
-  Alcotest.(check (list (pair string int))) "values"
-    [ ("a", 2); ("b", 10) ] (Stats.to_list g);
-  Alcotest.(check int) "find" 10 (Stats.find g "b");
-  Stats.reset_group g;
-  Alcotest.(check int) "reset" 0 (Stats.value c1)
-
-let test_stats_duplicate () =
-  let g = Stats.group "dups" in
-  let _ = Stats.counter g "x" in
-  Alcotest.check_raises "duplicate name"
-    (Invalid_argument "Stats.counter: duplicate \"x\" in group \"dups\"")
-    (fun () -> ignore (Stats.counter g "x"))
 
 let test_stats_ratio () =
   Alcotest.(check (float 1e-9)) "ratio" 0.5 (Stats.ratio ~num:1 ~den:2);
@@ -145,11 +75,10 @@ let prop_summary_mean =
 
 let test_summary_empty () =
   (* Regression: min/max of an empty summary used to leak the infinity
-     sentinels while mean guarded with 0. All four are 0 at n = 0. *)
+     sentinels while mean guarded with 0. All three are 0 at n = 0. *)
   let s = Stats.Summary.create () in
-  Alcotest.(check int) "n" 0 (Stats.Summary.n s);
+  Alcotest.(check int) "count" 0 (Stats.Summary.count s);
   Alcotest.(check (float 0.0)) "mean" 0.0 (Stats.Summary.mean s);
-  Alcotest.(check (float 0.0)) "stddev" 0.0 (Stats.Summary.stddev s);
   Alcotest.(check (float 0.0)) "min" 0.0 (Stats.Summary.min s);
   Alcotest.(check (float 0.0)) "max" 0.0 (Stats.Summary.max s);
   (* and the first observation still seeds the extrema correctly *)
@@ -224,13 +153,6 @@ let tests =
     qtest prop_rng_int_in;
     qtest prop_rng_float_unit;
     qtest prop_shuffle_permutes;
-    qtest prop_bitvec_set_get;
-    qtest prop_bitvec_clear;
-    qtest prop_bitvec_union;
-    Alcotest.test_case "bitvec iter ascending" `Quick test_bitvec_iter_ascending;
-    Alcotest.test_case "bitvec to_string" `Quick test_bitvec_string;
-    Alcotest.test_case "stats counters" `Quick test_stats_counters;
-    Alcotest.test_case "stats duplicate" `Quick test_stats_duplicate;
     Alcotest.test_case "stats ratio" `Quick test_stats_ratio;
     qtest prop_summary_mean;
     Alcotest.test_case "summary empty" `Quick test_summary_empty;
